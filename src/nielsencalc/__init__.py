@@ -19,6 +19,7 @@ from .fgab import (
     in_image,
     in_subgroup,
     is_injective,
+    is_surjective,
     kernel,
     paired_injective,
     smith_normal_form,

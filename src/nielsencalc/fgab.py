@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "in_image",
     "in_subgroup",
     "is_injective",
+    "is_surjective",
     "paired_injective",
     "exact_at",
     "zero_hom",
@@ -47,7 +49,7 @@ def _identity(n: int) -> list[list[int]]:
 
 
 def _mat_vec(matrix: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
-    return [sum(row[j] * vec[j] for j in range(len(vec))) for row in matrix]
+    return [sum(map(mul, row, vec)) for row in matrix]
 
 
 def _snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int):
@@ -156,19 +158,22 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
     return u, d, v
 
 
-def _solve_with(u, d, v, rank, nrows, ncols, b: Sequence[int]) -> Optional[list[int]]:
-    """Solve A x = b given the SNF decomposition U A V = D."""
-    ub = _mat_vec(u, list(b))
-    y = [0] * ncols
-    for i in range(nrows):
-        di = d[i][i] if i < min(nrows, ncols) else 0
-        if i < rank:
-            if ub[i] % di != 0:
-                return None
-            y[i] = ub[i] // di
-        elif ub[i] != 0:
+def _snf_coords(u, d, rank, b: Sequence[int]) -> Optional[list[int]]:
+    """The first rank entries of y with D y = U b, given U A V = D.
+
+    None when A x = b has no integer solution; otherwise V y solves it,
+    and y vanishes past the rank.
+    """
+    ub = _mat_vec(u, b)
+    if any(ub[rank:]):
+        return None
+    y = []
+    for i in range(rank):
+        q, r = divmod(ub[i], d[i][i])
+        if r:
             return None
-    return _mat_vec(v, y)
+        y.append(q)
+    return y
 
 
 def _kernel_basis_from(v, rank, ncols) -> list[list[int]]:
@@ -407,7 +412,9 @@ class Homomorphism:
         return self.target.element(_mat_vec(self.matrix, x.coords))
 
     def is_zero_map(self) -> bool:
-        return all(self(g).is_zero for g in self.source.generators())
+        # rows are stored reduced modulo the target torsion, so the map
+        # vanishes exactly when every entry is zero
+        return not any(map(any, self.matrix))
 
     def _augmented(self):
         """Cached SNF of [matrix | target relations]; solves image queries."""
@@ -449,9 +456,10 @@ def compose(g: Homomorphism, h: Homomorphism) -> Homomorphism:
     """The composite x -> g(h(x)); requires h.target = g.source."""
     if h.target != g.source:
         raise ValueError("shape mismatch: h.target must equal g.source")
-    inner = g.source.dim
-    prod = [[sum(g.matrix[i][k] * h.matrix[k][j] for k in range(inner))
-             for j in range(h.source.dim)] for i in range(g.target.dim)]
+    # h has no rows when its target is trivial; zip(*()) cannot recover
+    # its source.dim columns
+    cols = list(zip(*h.matrix)) if h.matrix else [()] * h.source.dim
+    prod = [[sum(map(mul, row, col)) for col in cols] for row in g.matrix]
     return Homomorphism(h.source, g.target, prod)
 
 
@@ -528,12 +536,13 @@ def in_image(h: Homomorphism, y: GroupElement):
     """Decide y in im(h); returns (found, witness) with h(witness) = y."""
     if not isinstance(y, GroupElement) or y.parent != h.target:
         raise ValueError("parent mismatch: element is not in the target group")
-    u, d, v, rank, nrows, ncols = h._augmented()
-    sol = _solve_with(u, d, v, rank, nrows, ncols, y.coords)
+    u, d, v, rank, _, _ = h._augmented()
+    sol = _snf_coords(u, d, rank, y.coords)
     if sol is None:
         return False, None
-    witness = h.source.element(sol[:h.source.dim])
-    return True, witness
+    # only the source coordinates of V y are needed; the rest solve for
+    # the target relations
+    return True, h.source.element(_mat_vec(v[:h.source.dim], sol))
 
 
 def in_subgroup(s: Subgroup, y: GroupElement) -> bool:
@@ -546,6 +555,14 @@ def in_subgroup(s: Subgroup, y: GroupElement) -> bool:
 
 def is_injective(h: Homomorphism) -> bool:
     return all(g.is_zero for g in kernel(h).generators)
+
+
+def is_surjective(h: Homomorphism) -> bool:
+    """Is im(h) the whole target?  Read off the cached augmented SNF: the
+    columns of [matrix | target relations] must span Z^dim, i.e. have
+    full row rank with every invariant factor 1."""
+    _, d, _, rank, nrows, _ = h._augmented()
+    return rank == nrows and all(d[i][i] == 1 for i in range(rank))
 
 
 def paired_injective(h1: Homomorphism, h2: Homomorphism) -> bool:
@@ -574,11 +591,8 @@ def exact_at(left: Homomorphism, right: Homomorphism) -> bool:
     """Is im(left) = ker(right)?  Requires left.target = right.source."""
     if left.target != right.source:
         raise ValueError("shape mismatch: left.target must equal right.source")
-    for g in left.source.generators():
-        if not right(left(g)).is_zero:
-            return False
-    for k in kernel(right).generators:
-        found, _ = in_image(left, k)
-        if not found:
-            return False
-    return True
+    if not compose(right, left).is_zero_map():
+        return False
+    u, d, _, rank, _, _ = left._augmented()
+    return all(_snf_coords(u, d, rank, k.coords) is not None
+               for k in kernel(right).generators)

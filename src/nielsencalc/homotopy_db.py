@@ -21,13 +21,12 @@ exact-arithmetic layer.
 
 from __future__ import annotations
 
-import ast
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
-from .fgab import FgAbGroup, Homomorphism, exact_at, in_image, is_injective
+from .fgab import FgAbGroup, Homomorphism, exact_at, is_injective, is_surjective
 
 __all__ = [
     "SpaceId",
@@ -251,12 +250,6 @@ class Database:
                 return entry.hom
         return None
 
-    def get_hom_entry(self, name, source, target) -> Optional[HomEntry]:
-        for entry in self.homs:
-            if entry.key == (name, source, target):
-                return entry
-        return None
-
     def require_hom(self, name: str, source: tuple[SpaceId, int],
                     target: tuple[SpaceId, int]) -> Homomorphism:
         hom = self.get_hom(name, source, target)
@@ -303,21 +296,24 @@ def _parse_space_m(text: str) -> tuple[SpaceId, int]:
     return SpaceId.parse(space_text.strip()), int(m_text)
 
 
-def _parse_matrix(text: str, line: int) -> tuple[tuple[int, ...], ...]:
-    try:
-        value = ast.literal_eval(text)
-    except (ValueError, SyntaxError) as exc:
-        raise ValueError(f"bad matrix literal: {exc}") from exc
-    if not isinstance(value, list) or any(not isinstance(r, list) for r in value):
-        raise ValueError("matrix literal must be a list of integer rows")
-    for row in value:
-        for x in row:
-            if not isinstance(x, int):
-                raise ValueError("matrix entries must be integers")
-    widths = {len(r) for r in value}
-    if len(widths) > 1:
+# A matrix literal is a list of rows, each a list of decimal integers
+# with an optional '-'.  The shape is checked by one non-nesting regular
+# expression, so bracket depth costs no recursion.
+_INT = r"-?(?:0|[1-9][0-9]*)"
+_ROW = rf"\[[ \t]*(?:{_INT}(?:[ \t]*,[ \t]*{_INT})*)?[ \t]*\]"
+_MATRIX_RE = re.compile(rf"\[[ \t]*(?:{_ROW}(?:[ \t]*,[ \t]*{_ROW})*)?[ \t]*\]")
+_ROW_RE = re.compile(r"\[([^\[\]]*)\]")
+
+
+def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
+    if not _MATRIX_RE.fullmatch(text):
+        raise ValueError("bad matrix literal: expected a list of rows of "
+                         "decimal integers, such as [[1,0],[-2,3]]")
+    rows = tuple(tuple(int(x) for x in body.split(",")) if body.strip() else ()
+                 for body in _ROW_RE.findall(text, 1, len(text) - 1))
+    if len({len(r) for r in rows}) > 1:
         raise ValueError("matrix rows have unequal lengths")
-    return tuple(tuple(r) for r in value)
+    return rows
 
 
 def _parse_text(text: str, origin: str):
@@ -388,7 +384,7 @@ def _parse_line(db: Database, line: str, lineno: int, violations: list[Violation
             return
         source = (SpaceId.parse(m.group(2)), int(m.group(3)))
         target = (SpaceId.parse(m.group(4)), int(m.group(5)))
-        matrix = _parse_matrix(m.group(6), lineno)
+        matrix = _parse_matrix(m.group(6))
         entry = HomEntry(name, source, target, matrix, m.group(7), lineno)
         if any(e.key == entry.key for e in db.homs):
             violations.append(Violation(
@@ -418,10 +414,6 @@ def _parse_line(db: Database, line: str, lineno: int, violations: list[Violation
 
 # ---------------------------------------------------------------------------
 # validation
-
-def _is_surjective(hom: Homomorphism) -> bool:
-    return all(in_image(hom, g)[0] for g in hom.target.generators())
-
 
 def validate(db: Database) -> list[Violation]:
     """Check every invariant and recorded assertion; returns violations.
@@ -461,7 +453,7 @@ def validate(db: Database) -> list[Violation]:
                     "not_automorphism", entry.ref(),
                     "antipodal action must be an endomorphism of one group",
                     entry.line))
-            elif not (is_injective(hom) and _is_surjective(hom)):
+            elif not (is_injective(hom) and is_surjective(hom)):
                 violations.append(Violation(
                     "not_automorphism", entry.ref(),
                     "antipodal action must be an automorphism", entry.line))
@@ -504,7 +496,7 @@ def validate(db: Database) -> list[Violation]:
                     "assert_zero", entries[0].ref(),
                     "asserted to vanish but is a nonzero map", assertion.line))
         elif assertion.kind == "surjective":
-            if not _is_surjective(entries[0].hom):
+            if not is_surjective(entries[0].hom):
                 violations.append(Violation(
                     "assert_surjective", entries[0].ref(),
                     "asserted to be surjective but is not", assertion.line))
@@ -528,9 +520,7 @@ def validate(db: Database) -> list[Violation]:
 
 def loads(text: str, origin: str = "<string>") -> Database:
     """Parse and validate database text; raise DatabaseError on any violation."""
-    db, violations = _parse_text(text, origin)
-    if db is not None:
-        violations = violations + validate(db)
+    db, violations = check(text, origin)
     if violations:
         raise DatabaseError(violations, origin)
     return db

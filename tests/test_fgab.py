@@ -12,6 +12,7 @@ from nielsencalc.fgab import (
     in_image,
     in_subgroup,
     is_injective,
+    is_surjective,
     kernel,
     paired_injective,
     smith_normal_form,
@@ -270,6 +271,17 @@ def test_is_injective_examples():
     assert is_injective(zero_hom(TRIVIAL, Z4))
 
 
+def test_is_surjective_examples():
+    assert is_surjective(identity_hom(Z))
+    assert is_surjective(Homomorphism(Z, Z, [[-1]]))
+    assert not is_surjective(Homomorphism(Z, Z, [[2]]))
+    assert is_surjective(Homomorphism(FgAbGroup(2, ()), Z, [[2, 3]]))
+    assert not is_surjective(Homomorphism(Z, FgAbGroup(1, (2,)), [[1], [1]]))
+    assert is_surjective(identity_hom(FgAbGroup(1, (2,))))
+    assert is_surjective(zero_hom(Z, TRIVIAL))
+    assert not is_surjective(zero_hom(TRIVIAL, Z2))
+
+
 def test_paired_injective_second_factor_suffices():
     h1 = zero_hom(Z2, Z)
     h2 = identity_hom(Z2)
@@ -356,6 +368,36 @@ def test_exact_at_against_enumeration():
         right = random_well_defined_hom(rng, b, c)
         expected = brute_image(left) == brute_kernel(right)
         assert exact_at(left, right) == expected
+
+
+def test_snf_read_predicates_against_enumeration():
+    # is_surjective and is_zero_map read the cached SNF and the stored
+    # matrix; compare them with the image enumerated element by element
+    # (spanned from generator images when the source is free) and with
+    # evaluation on each generator
+    rng = random.Random(60)
+    groups = all_finite_groups(60)
+    free_sources = [Z, FgAbGroup(2, ()), FgAbGroup(1, (2,)), FgAbGroup(1, (3, 6))]
+    seen = set()
+    for _ in range(300):
+        src = rng.choice(free_sources if rng.random() < 0.25 else groups)
+        tgt = rng.choice(groups)
+        for h in (random_well_defined_hom(rng, src, tgt), zero_hom(src, tgt)):
+            if src.free_rank:
+                image = span_closure(Subgroup(tgt, [h(g) for g in src.generators()]))
+            else:
+                image = brute_image(h)
+            surjective = image == set(tgt.elements())
+            zero = all(h(g).is_zero for g in src.generators())
+            assert is_surjective(h) == surjective
+            assert h.is_zero_map() == zero
+            seen.add((surjective, zero))
+            for y in tgt.elements():
+                found, witness = in_image(h, y)
+                assert found == (y in image)
+                if found:
+                    assert h(witness) == y
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_kernel_order_bookkeeping():

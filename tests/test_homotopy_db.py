@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from nielsencalc import homotopy_db as hdb
@@ -12,6 +14,8 @@ from nielsencalc.homotopy_db import (
     serialize,
     validate,
 )
+
+from oracles import mat_mul
 
 S = SpaceId.sphere
 V = SpaceId.stiefel
@@ -243,3 +247,128 @@ def test_check_reports_without_raising():
     assert db is not None
     _, violations = hdb.check("nielsendb v1\ngroup bad\n")
     assert violations
+
+
+# ---------------------------------------------------------------------------
+# matrix literal grammar
+
+_LITERAL_DB = ("nielsendb v1\n"
+               'group S(2) 2 = 1 [] gens a src "x"\n'
+               'group S(3) 3 = 2 [] gens b,c src "y"\n'
+               'group S(4) 4 = 0 [] gens - src "z"\n'
+               'hom suspension_E {src} -> {tgt} matrix {literal} src "w"\n')
+
+
+@pytest.mark.parametrize("src,tgt,literal,expected", [
+    ("S(2),2", "S(4),4", "[]", ()),
+    ("S(4),4", "S(2),2", "[[]]", ((),)),
+    ("S(2),2", "S(3),3", "[ [ 2 ] , [-3] ]", ((2,), (-3,))),
+    ("S(2),2", "S(3),3", "[[True],[0]]", None),
+    ("S(2),2", "S(3),3", "[[0x2],[0]]", None),
+    ("S(2),2", "S(3),3", "[[1_0],[0]]", None),
+    ("S(2),2", "S(3),3", "[[+1],[0]]", None),
+    ("S(2),2", "S(3),3", "[[(1)],[0]]", None),
+    ("S(2),2", "S(3),3", "[[1,],[0]]", None),
+    ("S(2),2", "S(3),3", "[" * 300 + "]" * 300, None),
+    ("S(2),2", "S(3),3", "[" * 100_000 + "]" * 100_000, None),
+], ids=lambda p: f"nest{len(p) // 2}" if isinstance(p, str) and len(p) > 99 else None)
+def test_matrix_literal_grammar(src, tgt, literal, expected):
+    db, violations = hdb.check(
+        _LITERAL_DB.format(src=src, tgt=tgt, literal=literal))
+    if expected is None:
+        assert [(v.kind, v.line) for v in violations] == [("parse", 5)]
+    else:
+        assert violations == []
+        assert db.homs[0].matrix == expected
+
+
+# ---------------------------------------------------------------------------
+# validation of a rank-12 slice
+#
+# boundary_K = P*D*Q with P, Q unimodular and D a divisibility chain, and
+# fiber_incl = P^-1 restricted to the non-unit factors of D and reduced
+# modulo them, so im(boundary_K) = ker(fiber_incl) and fiber_incl is onto
+# Z^2 x Z_2 x Z_2 x Z_2 x Z_6.
+
+_D = [1] * 6 + [2, 2, 2, 6] + [0, 0]
+_BOUNDARY = "boundary_K:S(9),30->S(8),29"
+
+
+def _unimodular(rng, r):
+    """A seeded product of elementary matrices and its inverse."""
+    m = [[int(i == j) for j in range(r)] for i in range(r)]
+    inv = [row[:] for row in m]
+    for _ in range(2 * r):
+        i, j = rng.sample(range(r), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+        for row in inv:
+            row[j] -= k * row[i]
+    return m, inv
+
+
+def _rank12_slice(seed=12):
+    rng = random.Random(seed)
+    r = len(_D)
+    p, p_inv = _unimodular(rng, r)
+    q, _ = _unimodular(rng, r)
+    assert mat_mul(p, p_inv) == [[int(i == j) for j in range(r)] for i in range(r)]
+    boundary = mat_mul(p, [[d * x for x in row] for d, row in zip(_D, q)])
+    fiber = [p_inv[10], p_inv[11]] + [[x % _D[i] for x in p_inv[i]]
+                                      for i in range(6, 10)]
+    antipodal = [[-int(i == j) for j in range(r)] for i in range(r)]
+    return boundary, fiber, antipodal
+
+
+def _slice_text(boundary, fiber, antipodal):
+    def lit(a):
+        return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in a) + "]"
+    gens = ",".join(f"g{k}" for k in range(len(_D)))
+    return ("nielsendb v1\n"
+            f'group S(9) 30 = 12 [] gens {gens} src "synthetic"\n'
+            f'group S(8) 29 = 12 [] gens {gens} src "synthetic"\n'
+            'group V(R,9) 29 = 2 [2,2,2,6] gens v0,v1,v2,v3,v4,v5 src "synthetic"\n'
+            f'hom boundary_K S(9),30 -> S(8),29 matrix {lit(boundary)} src "P*D*Q"\n'
+            f'hom fiber_incl S(8),29 -> V(R,9),29 matrix {lit(fiber)} src "P^-1 mod D"\n'
+            f'hom antipodal_A S(9),30 -> S(9),30 matrix {lit(antipodal)} src "-id"\n'
+            "assert_exact boundary_K fiber_incl\n"
+            "assert_surjective fiber_incl\n")
+
+
+def test_rank12_slice_loads():
+    boundary, fiber, antipodal = _rank12_slice()
+    db = loads(_slice_text(boundary, fiber, antipodal))
+    assert db.get_hom("boundary_K", (S(9), 30), (S(8), 29)).matrix == tuple(
+        map(tuple, boundary))
+
+
+def _change_one_entry(boundary, fiber):
+    # adding 1 where column i of fiber_incl is nonzero makes
+    # fiber_incl(boundary_K(e_j)) nonzero
+    i = next(i for i in range(len(_D)) if any(row[i] for row in fiber))
+    changed = [row[:] for row in boundary]
+    changed[i][3] += 1
+    return changed
+
+
+@pytest.mark.parametrize("corrupt", [
+    _change_one_entry,
+    # 2*boundary_K still maps into the kernel but no longer onto it
+    lambda boundary, fiber: [[2 * x for x in row] for row in boundary],
+], ids=["one_entry", "doubled"])
+def test_rank12_slice_broken_exactness_rejected(corrupt):
+    boundary, fiber, antipodal = _rank12_slice()
+    _, violations = hdb.check(
+        _slice_text(corrupt(boundary, fiber), fiber, antipodal))
+    assert len(violations) == 1
+    assert violations[0].kind == "assert_exact"
+    assert _BOUNDARY in violations[0].subject
+    assert violations[0].line == 8
+
+
+def test_rank12_injective_antipodal_that_is_not_onto_rejected():
+    boundary, fiber, antipodal = _rank12_slice()
+    antipodal[0][0] = 2
+    _, violations = hdb.check(_slice_text(boundary, fiber, antipodal))
+    assert [(v.kind, v.subject) for v in violations] == [
+        ("not_automorphism", "antipodal_A:S(9),30->S(9),30")]
