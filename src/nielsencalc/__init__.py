@@ -40,14 +40,13 @@ from .classifier import (
     INF,
     CoincidenceAnswer,
     ClassificationError,
+    InconsistentDataError,
     ProjectiveClass,
     SpaceFormQuery,
     classify_projective,
     classify_space_form,
     classify_sphere_target,
-    nielsen_via_liftings,
     reidemeister_count,
-    reidemeister_count_covering,
     table_conditions,
 )
 from .selfcoincidence import (

@@ -13,16 +13,17 @@ validated database:
 
 The classification consumes only the lift component of a projective
 class: the complementary residue component never changes the numbers
-and is merely echoed back as a note.
+and is merely echoed back as a note.  Everything it reads from the
+database for one (K, m, n') comes from a single ProjectiveSlice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Union
+from typing import Optional, Union
 
-from .fgab import GroupElement, in_image
-from .homotopy_db import Database, SpaceId
+from .fgab import FgAbGroup, GroupElement, in_image
+from .homotopy_db import FIELD_DIMS, Database, HomEntry, SpaceId
 
 __all__ = [
     "INF",
@@ -31,17 +32,15 @@ __all__ = [
     "CoincidenceAnswer",
     "SpaceFormQuery",
     "ClassificationError",
+    "InconsistentDataError",
+    "ProjectiveSlice",
     "CASE_CONDITIONS",
     "table_conditions",
     "classify_projective",
     "classify_sphere_target",
     "classify_space_form",
-    "nielsen_via_liftings",
     "reidemeister_count",
-    "reidemeister_count_covering",
 ]
-
-_FIELD_DIMS = {"R": 1, "C": 2, "H": 4}
 
 
 class Infinity:
@@ -96,6 +95,10 @@ class ClassificationError(ValueError):
     """A precondition of the classification was violated."""
 
 
+class InconsistentDataError(ClassificationError):
+    """The database entries of a slice contradict the seven-case table."""
+
+
 CASE_CONDITIONS = {
     1: "f'_1 ~ f'_2, [f~_2] in ker ∂_K",
     2: "f'_1 ~ f'_2, [f~_2] in ker E∘∂_K - ker ∂_K",
@@ -133,7 +136,7 @@ class ProjectiveClass:
     residue: Optional[GroupElement] = None
 
     def __post_init__(self):
-        if self.K not in _FIELD_DIMS:
+        if self.K not in FIELD_DIMS:
             raise ClassificationError(f"K must be R, C or H, got {self.K!r}")
         if self.m < 1 or self.nprime < 1:
             raise ClassificationError("m and n' must be >= 1")
@@ -141,18 +144,58 @@ class ProjectiveClass:
             raise ClassificationError(
                 "for K = R the residue group is trivial; drop the residue")
 
-    @property
-    def d(self) -> int:
-        return _FIELD_DIMS[self.K]
 
-    @property
-    def base_dim(self) -> int:
-        """Real dimension n of KP(n')."""
-        return self.d * self.nprime
+@dataclass(frozen=True)
+class ProjectiveSlice:
+    """The database data for maps S^m -> KP(n'), with n = d n'.
 
-    @property
-    def lift_sphere(self) -> SpaceId:
-        return SpaceId.sphere(self.base_dim + self.d - 1)
+    The lift group is pi_m(S^{n+d-1}); boundary is ∂_K into
+    pi_{m-1}(S^{n-1}), suspension is E into pi_m(S^n), and antipodal is
+    the action A on the lift group (K = R only, None otherwise or when
+    not resolved).
+    """
+
+    K: str
+    m: int
+    nprime: int
+    lift_key: tuple[SpaceId, int]
+    lift_group: FgAbGroup
+    boundary: HomEntry
+    suspension: HomEntry
+    antipodal: Optional[HomEntry]
+
+    @classmethod
+    def resolve(cls, db: Database, K: str, m: int, nprime: int,
+                lifts: tuple[GroupElement, ...],
+                residues: tuple[GroupElement, ...] = (),
+                with_antipodal: bool = True) -> "ProjectiveSlice":
+        """Look the slice up and check that the lifts and residues live in
+        their groups.  The residue group pi_{m-1}(S^{d-1}) is read only
+        when a residue is given, and A only when with_antipodal is set
+        (a self-pair has no two lifts to compare)."""
+        if K not in FIELD_DIMS:
+            raise ClassificationError(f"K must be R, C or H, got {K!r}")
+        if m < 2 or nprime < 2:
+            raise ClassificationError("the classification needs m >= 2 and n' >= 2")
+        d = FIELD_DIMS[K]
+        n = d * nprime
+        lift_key = (SpaceId.lift_sphere(K, nprime), m)
+        lift_group = db.require_group(*lift_key)
+        if any(lift.parent != lift_group for lift in lifts):
+            raise ClassificationError(
+                f"lift must live in pi_{m}({lift_key[0]}) = {lift_group}")
+        low, high = (SpaceId.sphere(n - 1), m - 1), (SpaceId.sphere(n), m)
+        boundary = db.require_hom_entry("boundary_K", lift_key, low)
+        suspension = db.require_hom_entry("suspension_E", low, high)
+        antipodal = (db.require_hom_entry("antipodal_A", lift_key, lift_key)
+                     if K == "R" and with_antipodal else None)
+        for residue in residues:
+            residue_group = db.require_group(SpaceId.sphere(d - 1), m - 1)
+            if residue.parent != residue_group:
+                raise ClassificationError(
+                    f"residue must live in pi_{m - 1}(S({d - 1})) = {residue_group}")
+        return cls(K, m, nprime, lift_key, lift_group, boundary, suspension,
+                   antipodal)
 
 
 @dataclass(frozen=True)
@@ -217,51 +260,25 @@ class SpaceFormQuery:
 # ---------------------------------------------------------------------------
 # the seven-case classification
 
-def _projective_data(db: Database, f1: ProjectiveClass, f2: ProjectiveClass):
-    """Resolve and sanity-check everything the table evaluation needs."""
-    if (f1.K, f1.m, f1.nprime) != (f2.K, f2.m, f2.nprime):
-        raise ClassificationError("the two classes must share (K, m, n')")
-    if f1.m < 2 or f1.nprime < 2:
-        raise ClassificationError("the classification needs m >= 2 and n' >= 2")
-    K, m, d, n = f1.K, f1.m, f1.d, f1.base_dim
-    lift_key = (f1.lift_sphere, m)
-    lift_group = db.require_group(*lift_key)
-    for f in (f1, f2):
-        if f.lift.parent != lift_group:
-            raise ClassificationError(
-                f"lift must live in pi_{m}({f1.lift_sphere}) = {lift_group}")
-    boundary = db.require_hom("boundary_K", lift_key,
-                              (SpaceId.sphere(n - 1), m - 1))
-    susp = db.require_hom("suspension_E", (SpaceId.sphere(n - 1), m - 1),
-                          (SpaceId.sphere(n), m))
-    antipodal = None
-    if K == "R":
-        antipodal = db.require_hom("antipodal_A", lift_key, lift_key)
-    for f in (f1, f2):
-        if f.residue is not None:
-            residue_group = db.require_group(SpaceId.sphere(d - 1), m - 1)
-            if f.residue.parent != residue_group:
-                raise ClassificationError(
-                    f"residue must live in pi_{m - 1}(S({d - 1})) = {residue_group}")
-    return lift_group, boundary, susp, antipodal
-
-
 def table_conditions(db: Database, f1: ProjectiveClass,
                      f2: ProjectiveClass) -> tuple[bool, ...]:
     """Evaluate the seven case conditions literally, in table order."""
-    _, boundary, susp, antipodal = _projective_data(db, f1, f2)
-    K = f1.K
+    if (f1.K, f1.m, f1.nprime) != (f2.K, f2.m, f2.nprime):
+        raise ClassificationError("the two classes must share (K, m, n')")
+    s = ProjectiveSlice.resolve(
+        db, f1.K, f1.m, f1.nprime, (f1.lift, f2.lift),
+        tuple(f.residue for f in (f1, f2) if f.residue is not None))
     lift1, lift2 = f1.lift, f2.lift
-    b2 = boundary(lift2)
-    eb2 = susp(b2)
-    if K == "R":
-        free_homotopic = lift1 == lift2 or lift1 == antipodal(lift2)
-        diff_in_im_e = in_image(susp, lift1 - lift2)[0]
-        fixed_by_a = lift2 == antipodal(lift2)
+    b2 = s.boundary.hom(lift2)
+    eb2 = s.suspension.hom(b2)
+    if s.K == "R":
+        a2 = s.antipodal.hom(lift2)
+        free_homotopic = lift1 == lift2 or lift1 == a2
+        diff_in_im_e = in_image(s.suspension.hom, lift1 - lift2)[0]
         return (
             free_homotopic and b2.is_zero,
             free_homotopic and eb2.is_zero and not b2.is_zero,
-            free_homotopic and not fixed_by_a,
+            free_homotopic and lift2 != a2,
             not free_homotopic and diff_in_im_e,
             not diff_in_im_e,
             False,
@@ -279,35 +296,31 @@ def table_conditions(db: Database, f1: ProjectiveClass,
     )
 
 
-def classify_projective(db: Database, f1: ProjectiveClass, f2: ProjectiveClass,
-                        check_exclusive: bool = False) -> CoincidenceAnswer:
+def classify_projective(db: Database, f1: ProjectiveClass,
+                        f2: ProjectiveClass) -> CoincidenceAnswer:
     """Classify a pair of classes in pi_m(KP(n')), m, n' >= 2.
 
-    Returns the matching case with its exact (N#, MCC, MC) triple.  With
-    check_exclusive=True all seven conditions are evaluated and exactly
-    one must hold (a runtime check of the classification's
-    mutual-exclusivity claim); otherwise the first match in table order
-    is returned.
+    Returns the matching case with its exact (N#, MCC, MC) triple.  All
+    seven conditions are evaluated and exactly one must hold; otherwise
+    the database data contradicts the table and InconsistentDataError
+    names the entries involved.
     """
     conditions = table_conditions(db, f1, f2)
-    if check_exclusive and sum(conditions) != 1:
-        fired = [i + 1 for i, c in enumerate(conditions) if c]
-        raise ClassificationError(
-            f"conditions {fired or 'none'} fired for "
-            f"(K={f1.K}, m={f1.m}, n'={f1.nprime}, lifts "
-            f"{f1.lift.coords}/{f2.lift.coords}); the seven cases must be "
-            f"mutually exclusive and exhaustive")
-    for index, holds in enumerate(conditions):
-        if holds:
-            case = index + 1
-            break
-    else:
-        raise ClassificationError("no case condition fired; database data "
-                                  "is inconsistent with the classification")
+    fired = [i + 1 for i, holds in enumerate(conditions) if holds]
+    if len(fired) != 1:
+        # resolved again only to name the entries in the message
+        s = ProjectiveSlice.resolve(db, f1.K, f1.m, f1.nprime, ())
+        refs = ", ".join(e.ref() for e in (s.boundary, s.suspension, s.antipodal)
+                         if e is not None)
+        what = (f"conditions {fired} fired" if fired
+                else "no case condition fired")
+        raise InconsistentDataError(
+            f"{what} for (K={f1.K}, m={f1.m}, n'={f1.nprime}, lifts "
+            f"{f1.lift.coords}/{f2.lift.coords}); the entries {refs} "
+            f"contradict the seven-case table")
+    case = fired[0]
     nielsen, mcc, mc = _CASE_TRIPLES[case]
-    notes = []
-    if any(f.residue is not None and not f.residue.is_zero for f in (f1, f2)):
-        notes.append("residue present, numbers unaffected")
+    residue = any(f.residue is not None and not f.residue.is_zero for f in (f1, f2))
     return CoincidenceAnswer(
         case_id=case,
         condition=CASE_CONDITIONS[case],
@@ -317,7 +330,7 @@ def classify_projective(db: Database, f1: ProjectiveClass, f2: ProjectiveClass,
         omega_sharp_zero=case in (1, 2),
         loose=case == 1,
         loose_small=case == 1,
-        notes=tuple(notes),
+        notes=("residue present, numbers unaffected",) if residue else (),
     )
 
 
@@ -427,29 +440,12 @@ def classify_space_form(query: SpaceFormQuery) -> CoincidenceAnswer:
 
 
 # ---------------------------------------------------------------------------
-# covering-space Nielsen counts and Reidemeister cardinalities
-
-def nielsen_via_liftings(vanishing: Mapping[Any, bool]) -> int:
-    """Count deck transformations whose lifted pair has nonvanishing
-    obstruction; the caller asserts the covering-space hypotheses
-    (transitive deck action and the path-component condition)."""
-    if not vanishing:
-        raise ClassificationError("empty deck transformation set")
-    return sum(1 for vanishes in vanishing.values() if not vanishes)
-
+# Reidemeister cardinalities
 
 def reidemeister_count(K: str, m: int) -> int:
     """Number of Reidemeister classes for maps S^m -> KP(n'), m >= 2."""
-    if K not in _FIELD_DIMS:
+    if K not in FIELD_DIMS:
         raise ClassificationError(f"K must be R, C or H, got {K!r}")
     if m < 2:
         raise ClassificationError("Reidemeister count needs m >= 2")
     return 2 if K == "R" else 1
-
-
-def reidemeister_count_covering(deck_order: int) -> int:
-    """General covering form: the deck group order, under the
-    transitivity and path-component hypotheses."""
-    if not isinstance(deck_order, int) or deck_order < 1:
-        raise ClassificationError("deck group order must be a positive integer")
-    return deck_order

@@ -5,7 +5,8 @@ Elements are entered as integer coordinate vectors relative to the
 database generators and echoed back (to the diagnostic stream) with the
 generator labels.  Answers go to stdout; diagnostics and errors go to
 stderr.  Exit codes: 0 success, 2 usage error, 3 insufficient database
-data, 4 database validation failure.
+data, 4 database validation failure or database data that contradicts
+the classification.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Optional
 from . import homotopy_db
 from .classifier import (
     INF,
-    ClassificationError,
     CoincidenceAnswer,
+    InconsistentDataError,
     ProjectiveClass,
     SpaceFormQuery,
     classify_projective,
@@ -29,6 +30,7 @@ from .classifier import (
 )
 from .fgab import GroupElement
 from .homotopy_db import (
+    FIELD_DIMS,
     Database,
     DatabaseError,
     InsufficientDataError,
@@ -161,13 +163,8 @@ def _element(db: Database, space: SpaceId, m: int, text: str,
 
 
 def _echo(db: Database, space: SpaceId, m: int, name: str, x: GroupElement):
-    entry = db.get_group_entry(space, m)
-    labels = entry.labels if entry else ()
-    if labels:
-        terms = [f"{c}*{lab}" for c, lab in zip(x.coords, labels)]
-        desc = " + ".join(terms) if terms else "0"
-    else:
-        desc = "0"
+    labels = db.groups[(space, m)].labels
+    desc = " + ".join(f"{c}*{lab}" for c, lab in zip(x.coords, labels)) or "0"
     print(f"{name} = ({','.join(map(str, x.coords))}) in pi_{m}({space}): {desc}",
           file=sys.stderr)
 
@@ -184,11 +181,7 @@ def _load_db(args) -> Database:
 
 def _cmd_classify(args) -> int:
     db = _load_db(args)
-    try:
-        d = {"R": 1, "C": 2, "H": 4}[args.K]
-    except KeyError:
-        raise UsageError(f"--K must be R, C or H, got {args.K!r}")
-    lift_sphere = SpaceId.sphere(d * args.nprime + d - 1)
+    lift_sphere = SpaceId.lift_sphere(args.K, args.nprime)
     classes = []
     for name, lift_text, res_text in (("f1", args.f1, args.residue1),
                                       ("f2", args.f2, args.residue2)):
@@ -199,8 +192,8 @@ def _cmd_classify(args) -> int:
             if args.K == "R":
                 raise UsageError("K = R has a trivial residue group; drop "
                                  f"--residue for {name}")
-            residue = _element(db, SpaceId.sphere(d - 1), args.m - 1, res_text,
-                               f"residue of {name}")
+            residue = _element(db, SpaceId.sphere(FIELD_DIMS[args.K] - 1),
+                               args.m - 1, res_text, f"residue of {name}")
         classes.append(ProjectiveClass(args.K, args.m, args.nprime, lift, residue))
     answer = classify_projective(db, classes[0], classes[1])
     print(render(answer, args.output, db.version))
@@ -209,8 +202,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_self(args) -> int:
     db = _load_db(args)
-    d = {"R": 1, "C": 2, "H": 4}[args.K]
-    lift_sphere = SpaceId.sphere(d * args.nprime + d - 1)
+    lift_sphere = SpaceId.lift_sphere(args.K, args.nprime)
     lift = _element(db, lift_sphere, args.m, args.f, "f")
     _echo(db, lift_sphere, args.m, "f", lift)
     verdict = self_verdict(db, args.K, args.m, args.nprime, lift)
@@ -378,10 +370,10 @@ def main(argv=None) -> int:
             print(str(violation), file=sys.stderr)
         print(f"database rejected: {exc.origin or 'input'}", file=sys.stderr)
         return 4
-    except ClassificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except InconsistentDataError as exc:
+        print(f"database inconsistent: {exc}", file=sys.stderr)
+        return 4
+    except ValueError as exc:  # ClassificationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,23 +8,25 @@ The store is a line-oriented UTF-8 text format ("nielsendb v1"):
     assert_zero <homref>
     assert_surjective <homref>
 
-Spaces are written S(n), V(K,n'), P(K,n') with K in {R, C, H}; '#' starts
-a comment.  A <homref> is either a bare homomorphism name (if unique in
-the file) or the qualified form name:S(5),10->S(6),11.
+Spaces are written S(n), V(K,n'), P(K,n') with K in {R, C, H}; a '#'
+outside double quotes starts a comment.  A <homref> is either a bare
+homomorphism name (if unique in the file) or the qualified form
+name:S(5),10->S(6),11.
 
 Lookups never guess: a missing entry is reported as None, and the
 require_* helpers raise InsufficientDataError naming exactly what is
 missing.  A database is validated wholesale on load; every recorded
 exactness, vanishing and surjectivity assertion is checked with the
-exact-arithmetic layer.
+exact-arithmetic layer.  A Database cannot be changed once built.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .fgab import FgAbGroup, Homomorphism, exact_at, is_injective, is_surjective
 
@@ -38,6 +40,7 @@ __all__ = [
     "DatabaseError",
     "InsufficientDataError",
     "HOM_NAMES",
+    "FIELD_DIMS",
     "load",
     "loads",
     "load_default",
@@ -51,7 +54,8 @@ HOM_NAMES = frozenset({
     "antipodal_A", "fiber_incl", "j_star",
 })
 
-_FIELD_DIMS = {"R": 1, "C": 2, "H": 4}
+# real dimension d of the coefficient field K
+FIELD_DIMS = {"R": 1, "C": 2, "H": 4}
 
 
 class InsufficientDataError(Exception):
@@ -84,7 +88,7 @@ class SpaceId:
             if self.K is not None:
                 raise ValueError("spheres carry no coefficient field")
         else:
-            if self.K not in _FIELD_DIMS:
+            if self.K not in FIELD_DIMS:
                 raise ValueError(f"coefficient field must be R, C or H, got {self.K!r}")
         if self.index < 1:
             raise ValueError("space index must be >= 1")
@@ -102,6 +106,12 @@ class SpaceId:
         return cls("P", K, nprime)
 
     @classmethod
+    def lift_sphere(cls, K: str, nprime: int) -> "SpaceId":
+        """The sphere S^{dn'+d-1} through which maps into P(K,n') lift."""
+        d = FIELD_DIMS[K]
+        return cls.sphere(d * nprime + d - 1)
+
+    @classmethod
     def parse(cls, text: str) -> "SpaceId":
         m = re.fullmatch(r"S\((\d+)\)", text)
         if m:
@@ -116,7 +126,7 @@ class SpaceId:
         """Real dimension of the space."""
         if self.kind == "S":
             return self.index
-        d = _FIELD_DIMS[self.K]
+        d = FIELD_DIMS[self.K]
         if self.kind == "P":
             return d * self.index
         # V(K,n') fibers over S(d*n'+d-1) with fiber S(d*n'-1)
@@ -128,7 +138,7 @@ class SpaceId:
         return f"{self.kind}({self.K},{self.index})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupEntry:
     space: SpaceId
     m: int
@@ -145,8 +155,12 @@ class GroupEntry:
         return f"pi_{self.m}({self.space}) = {self.group}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomEntry:
+    """A hom line; hom is its map, resolved against the group entries when
+    the database is built (None if it dangles or is ill defined), and
+    matrix is then the map's canonical matrix."""
+
     name: str
     source: tuple[SpaceId, int]
     target: tuple[SpaceId, int]
@@ -160,9 +174,7 @@ class HomEntry:
         return (self.name, self.source, self.target)
 
     def ref(self) -> str:
-        s, sm = self.source
-        t, tm = self.target
-        return f"{self.name}:{s},{sm}->{t},{tm}"
+        return str(HomRef(*self.key))
 
     def __str__(self):
         s, sm = self.source
@@ -218,14 +230,22 @@ class Violation:
         return f"[{self.kind}] {self.subject}: {self.message}{where}"
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Database:
-    """Immutable-after-load collection of group and homomorphism entries."""
+    """Group, homomorphism and assertion entries; immutable once built.
 
-    def __init__(self, version: str):
-        self.version = version
-        self.groups: dict[tuple[SpaceId, int], GroupEntry] = {}
-        self.homs: list[HomEntry] = []
-        self.assertions: list[Assertion] = []
+    homs keeps file order; lookups go through an index keyed by
+    (name, source, target).
+    """
+
+    version: str
+    groups: Mapping[tuple[SpaceId, int], GroupEntry]
+    homs: tuple[HomEntry, ...]
+    assertions: tuple[Assertion, ...]
+    _hom_index: dict = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hom_index", {e.key: e for e in self.homs})
 
     # -- lookups ------------------------------------------------------------
 
@@ -233,9 +253,6 @@ class Database:
         """Exact entry or None, never a guessed default."""
         entry = self.groups.get((space, m))
         return entry.group if entry is not None else None
-
-    def get_group_entry(self, space: SpaceId, m: int) -> Optional[GroupEntry]:
-        return self.groups.get((space, m))
 
     def require_group(self, space: SpaceId, m: int) -> FgAbGroup:
         group = self.get_group(space, m)
@@ -245,20 +262,22 @@ class Database:
 
     def get_hom(self, name: str, source: tuple[SpaceId, int],
                 target: tuple[SpaceId, int]) -> Optional[Homomorphism]:
-        for entry in self.homs:
-            if entry.key == (name, source, target):
-                return entry.hom
-        return None
+        entry = self._hom_index.get((name, source, target))
+        return entry.hom if entry is not None else None
 
-    def require_hom(self, name: str, source: tuple[SpaceId, int],
-                    target: tuple[SpaceId, int]) -> Homomorphism:
-        hom = self.get_hom(name, source, target)
-        if hom is None:
+    def require_hom_entry(self, name: str, source: tuple[SpaceId, int],
+                          target: tuple[SpaceId, int]) -> HomEntry:
+        entry = self._hom_index.get((name, source, target))
+        if entry is None or entry.hom is None:
             s, sm = source
             t, tm = target
             raise InsufficientDataError(
                 f"no entry for {name}: pi_{sm}({s}) -> pi_{tm}({t})")
-        return hom
+        return entry
+
+    def require_hom(self, name: str, source: tuple[SpaceId, int],
+                    target: tuple[SpaceId, int]) -> Homomorphism:
+        return self.require_hom_entry(name, source, target).hom
 
     # -- equality (round-trip property) --------------------------------------
 
@@ -289,6 +308,14 @@ _HOM_RE = re.compile(
 _VERSION_RE = re.compile(r'^nielsendb\s+(\S+)$')
 
 
+def _strip_comment(raw: str) -> str:
+    """The part of a line before its first '#' outside double quotes."""
+    end = raw.find("#")
+    while end >= 0 and raw.count('"', 0, end) % 2:
+        end = raw.find("#", end + 1)
+    return raw if end < 0 else raw[:end]
+
+
 def _parse_space_m(text: str) -> tuple[SpaceId, int]:
     space_text, comma, m_text = text.strip().rpartition(",")
     if not comma:
@@ -317,31 +344,56 @@ def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _parse_text(text: str, origin: str):
-    db: Optional[Database] = None
+    version: Optional[str] = None
+    groups: dict[tuple[SpaceId, int], GroupEntry] = {}
+    homs: dict[tuple, HomEntry] = {}
+    assertions: list[Assertion] = []
     violations: list[Violation] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
-        if db is None:
+        if version is None:
             m = _VERSION_RE.match(line)
             if not m or m.group(1) != "v1":
                 violations.append(Violation(
                     "parse", origin, "missing or unsupported version header "
                     "(expected 'nielsendb v1')", lineno))
                 return None, violations
-            db = Database(m.group(1))
+            version = m.group(1)
             continue
         try:
-            _parse_line(db, line, lineno, violations)
+            _parse_line(groups, homs, assertions, line, lineno, violations)
         except ValueError as exc:
             violations.append(Violation("parse", origin, str(exc), lineno))
-    if db is None:
+    if version is None:
         violations.append(Violation("parse", origin, "empty database file", 0))
-    return db, violations
+        return None, violations
+    return _build(version, groups, homs, assertions), violations
 
 
-def _parse_line(db: Database, line: str, lineno: int, violations: list[Violation]):
+def _build(version, groups, homs, assertions) -> Database:
+    """Resolve every hom entry against the groups and qualify every bare
+    assertion reference that names a single entry, so that
+    serialize(load(f)) parses back to an equal database."""
+    entries = []
+    for entry in homs.values():
+        hom, _ = _resolve(groups, entry)
+        entries.append(entry if hom is None
+                       else replace(entry, matrix=hom.matrix, hom=hom))
+    qualified = []
+    for assertion in assertions:
+        refs = []
+        for ref in assertion.refs:
+            entry, _ = _lookup(entries, ref, assertion.line)
+            refs.append(ref if entry is None else HomRef(*entry.key))
+        qualified.append(Assertion(assertion.kind, tuple(refs), assertion.line))
+    return Database(version, MappingProxyType(groups), tuple(entries),
+                    tuple(qualified))
+
+
+def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
+                lineno: int, violations: list[Violation]):
     if line.startswith("group "):
         m = _GROUP_RE.match(line)
         if not m:
@@ -365,20 +417,19 @@ def _parse_line(db: Database, line: str, lineno: int, violations: list[Violation
                 f"{len(labels)} generator labels for {group.dim} generators", lineno))
             return
         entry = GroupEntry(space, degree, group, labels, m.group(6), lineno)
-        if entry.key in db.groups:
+        if entry.key in groups:
             violations.append(Violation(
                 "duplicate", subject, "second entry for the same group", lineno))
             return
-        db.groups[entry.key] = entry
+        groups[entry.key] = entry
     elif line.startswith("hom "):
         m = _HOM_RE.match(line)
         if not m:
             raise ValueError("malformed hom line")
         name = m.group(1)
-        subject = name
         if name not in HOM_NAMES:
             violations.append(Violation(
-                "parse", subject,
+                "parse", name,
                 f"unknown homomorphism name (expected one of "
                 f"{', '.join(sorted(HOM_NAMES))})", lineno))
             return
@@ -386,28 +437,28 @@ def _parse_line(db: Database, line: str, lineno: int, violations: list[Violation
         target = (SpaceId.parse(m.group(4)), int(m.group(5)))
         matrix = _parse_matrix(m.group(6))
         entry = HomEntry(name, source, target, matrix, m.group(7), lineno)
-        if any(e.key == entry.key for e in db.homs):
+        if entry.key in homs:
             violations.append(Violation(
                 "duplicate", entry.ref(), "second entry for the same homomorphism",
                 lineno))
             return
-        db.homs.append(entry)
+        homs[entry.key] = entry
     elif line.startswith("assert_exact"):
         parts = line.split()
         if len(parts) != 3:
             raise ValueError("assert_exact needs exactly two hom references")
         refs = tuple(HomRef.parse(p) for p in parts[1:])
-        db.assertions.append(Assertion("exact", refs, lineno))
+        assertions.append(Assertion("exact", refs, lineno))
     elif line.startswith("assert_zero"):
         parts = line.split()
         if len(parts) != 2:
             raise ValueError("assert_zero needs exactly one hom reference")
-        db.assertions.append(Assertion("zero", (HomRef.parse(parts[1]),), lineno))
+        assertions.append(Assertion("zero", (HomRef.parse(parts[1]),), lineno))
     elif line.startswith("assert_surjective"):
         parts = line.split()
         if len(parts) != 2:
             raise ValueError("assert_surjective needs exactly one hom reference")
-        db.assertions.append(Assertion("surjective", (HomRef.parse(parts[1]),), lineno))
+        assertions.append(Assertion("surjective", (HomRef.parse(parts[1]),), lineno))
     else:
         raise ValueError(f"unrecognized directive {line.split()[0]!r}")
 
@@ -415,83 +466,69 @@ def _parse_line(db: Database, line: str, lineno: int, violations: list[Violation
 # ---------------------------------------------------------------------------
 # validation
 
+def _resolve(groups, entry: HomEntry):
+    """(map, None) for a well-defined entry, else (None, violation)."""
+    missing = [f"pi_{m}({space})" for space, m in (entry.source, entry.target)
+               if (space, m) not in groups]
+    if missing:
+        return None, Violation(
+            "dangling_ref", entry.ref(),
+            "references missing group entries: " + ", ".join(missing), entry.line)
+    try:
+        return Homomorphism(groups[entry.source].group, groups[entry.target].group,
+                            entry.matrix), None
+    except ValueError as exc:
+        return None, Violation("ill_defined", entry.ref(), str(exc), entry.line)
+
+
+def _lookup(entries, ref: HomRef, line: int):
+    """(entry, None) for the one entry ref names, else (None, violation)."""
+    found = [e for e in entries
+             if e.name == ref.name
+             and (ref.source is None or e.source == ref.source)
+             and (ref.target is None or e.target == ref.target)]
+    if len(found) == 1:
+        return found[0], None
+    if not found:
+        return None, Violation("unknown_hom", str(ref),
+                               "assertion references no homomorphism entry", line)
+    return None, Violation("ambiguous_ref", str(ref),
+                           "assertion matches several entries; qualify with "
+                           "name:SRC,m->TGT,m", line)
+
+
 def validate(db: Database) -> list[Violation]:
     """Check every invariant and recorded assertion; returns violations.
 
-    Never raises: a clean database yields an empty list.  Homomorphism
-    entries are resolved against the group entries as a side effect (the
-    resolution is deterministic, so re-validation is idempotent).
+    Never raises and changes nothing: a clean database yields an empty
+    list.
     """
     violations: list[Violation] = []
     for entry in db.homs:
-        if entry.hom is not None:
-            continue
-        source_group = db.get_group(*entry.source)
-        target_group = db.get_group(*entry.target)
-        missing = []
-        if source_group is None:
-            missing.append(f"pi_{entry.source[1]}({entry.source[0]})")
-        if target_group is None:
-            missing.append(f"pi_{entry.target[1]}({entry.target[0]})")
-        if missing:
-            violations.append(Violation(
-                "dangling_ref", entry.ref(),
-                "references missing group entries: " + ", ".join(missing),
-                entry.line))
-            continue
-        try:
-            hom = Homomorphism(source_group, target_group, entry.matrix)
-        except ValueError as exc:
-            violations.append(Violation("ill_defined", entry.ref(), str(exc),
-                                        entry.line))
-            continue
-        entry.hom = hom
-        entry.matrix = hom.matrix
-        if entry.name == "antipodal_A":
+        if entry.hom is None:
+            violations.append(_resolve(db.groups, entry)[1])
+        elif entry.name == "antipodal_A":
             if entry.source != entry.target:
                 violations.append(Violation(
                     "not_automorphism", entry.ref(),
                     "antipodal action must be an endomorphism of one group",
                     entry.line))
-            elif not (is_injective(hom) and is_surjective(hom)):
+            elif not (is_injective(entry.hom) and is_surjective(entry.hom)):
                 violations.append(Violation(
                     "not_automorphism", entry.ref(),
                     "antipodal action must be an automorphism", entry.line))
-    for index, assertion in enumerate(db.assertions):
+    for assertion in db.assertions:
         entries = []
-        broken = False
         for ref in assertion.refs:
-            candidates = [e for e in db.homs
-                          if e.name == ref.name
-                          and (ref.source is None or e.source == ref.source)
-                          and (ref.target is None or e.target == ref.target)]
-            if not candidates:
-                violations.append(Violation(
-                    "unknown_hom", str(ref),
-                    "assertion references no homomorphism entry", assertion.line))
-                broken = True
-            elif len(candidates) > 1:
-                violations.append(Violation(
-                    "ambiguous_ref", str(ref),
-                    "assertion matches several entries; qualify with "
-                    "name:SRC,m->TGT,m", assertion.line))
-                broken = True
-            elif candidates[0].hom is None:
-                broken = True  # already reported against the entry itself
-            else:
-                entries.append(candidates[0])
-        if broken:
+            entry, problem = _lookup(db.homs, ref, assertion.line)
+            if problem is not None:
+                violations.append(problem)
+            entries.append(entry)
+        # an unresolved entry was already reported against the entry itself
+        if any(e is None or e.hom is None for e in entries):
             continue
-        # normalize bare references to the resolved entry, so that
-        # serialize(load(f)) parses back to an equal database
-        if any(ref.source is None for ref in assertion.refs):
-            db.assertions[index] = Assertion(
-                assertion.kind,
-                tuple(HomRef(e.name, e.source, e.target) for e in entries),
-                assertion.line)
         if assertion.kind == "zero":
-            hom = entries[0].hom
-            if not hom.is_zero_map():
+            if not entries[0].hom.is_zero_map():
                 violations.append(Violation(
                     "assert_zero", entries[0].ref(),
                     "asserted to vanish but is a nonzero map", assertion.line))
@@ -554,32 +591,29 @@ def load_default() -> Database:
     return loads(default_db_text(), "<default>")
 
 
+def _quoted(subject: str, provenance: str) -> str:
+    if '"' in provenance:
+        raise ValueError(f"{subject}: a provenance cannot contain '\"'")
+    return f'"{provenance}"'
+
+
 def serialize(db: Database) -> str:
     """Canonical text form; loads(serialize(db)) equals db."""
     lines = [f"nielsendb {db.version}", ""]
     for entry in sorted(db.groups.values(), key=lambda e: (str(e.space), e.m)):
         torsion = ",".join(str(d) for d in entry.group.torsion)
         labels = ",".join(entry.labels) if entry.labels else "-"
-        assert '"' not in entry.provenance
         lines.append(
             f"group {entry.space} {entry.m} = {entry.group.free_rank} "
-            f"[{torsion}] gens {labels} src \"{entry.provenance}\"")
+            f"[{torsion}] gens {labels} src "
+            + _quoted(f"pi_{entry.m}({entry.space})", entry.provenance))
     for entry in sorted(db.homs, key=lambda e: str(e.key)):
         s, sm = entry.source
         t, tm = entry.target
         matrix = "[" + ",".join("[" + ",".join(str(x) for x in row) + "]"
                                 for row in entry.matrix) + "]"
-        assert '"' not in entry.provenance
         lines.append(
-            f"hom {entry.name} {s},{sm} -> {t},{tm} matrix {matrix} "
-            f"src \"{entry.provenance}\"")
-    for assertion in sorted(db.assertions, key=str):
-        refs = []
-        for ref in assertion.refs:
-            if ref.source is None:
-                entry = next(e for e in db.homs if e.name == ref.name)
-                refs.append(entry.ref())
-            else:
-                refs.append(str(ref))
-        lines.append(f"assert_{assertion.kind} " + " ".join(refs))
+            f"hom {entry.name} {s},{sm} -> {t},{tm} matrix {matrix} src "
+            + _quoted(entry.ref(), entry.provenance))
+    lines.extend(sorted(map(str, db.assertions)))
     return "\n".join(lines) + "\n"

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fgab import GroupElement, Homomorphism, paired_injective
-from .homotopy_db import Database, SpaceId
-from .classifier import ClassificationError, _FIELD_DIMS
+from .homotopy_db import Database
+from .classifier import ClassificationError, ProjectiveSlice
 
 __all__ = [
     "LoosenessVerdict",
@@ -34,34 +34,42 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LoosenessVerdict:
-    """Booleans describing how removable the self-coincidence of (f, f) is.
+    """How removable the self-coincidence of (f, f) is.
 
-    The implication chain small_deformation => loose =>
-    (not coincidence_producing and omega_sharp_zero) is checked on
-    construction; gap_witness records the omega-blind situation where
-    the invariant vanishes but the pair is not loose.
+    Stores small_deformation (boundary([f~]) = 0) and omega_sharp_zero
+    (E(boundary([f~])) = 0), the first implying the second; the other
+    flags are read off these two.  gap_witness marks the omega-blind
+    case: the invariant vanishes but the pair is not loose.
     """
 
     K: str
     m: int
     nprime: int
     small_deformation: bool
-    loose: bool
-    coincidence_producing: bool
     omega_sharp_zero: bool
-    lifted_pair_loose: bool
-    gap_witness: bool
 
     def __post_init__(self):
-        if self.small_deformation and not self.loose:
-            raise ClassificationError("small deformation looseness implies looseness")
-        if self.loose and self.coincidence_producing:
-            raise ClassificationError("a loose self-pair is not coincidence producing")
-        if self.loose and not self.omega_sharp_zero:
+        if self.small_deformation and not self.omega_sharp_zero:
             raise ClassificationError("looseness forces the invariant to vanish")
-        if self.gap_witness != (self.omega_sharp_zero and not self.loose):
-            raise ClassificationError("gap_witness must equal omega_sharp_zero "
-                                      "and not loose")
+
+    @property
+    def loose(self) -> bool:
+        return self.small_deformation
+
+    @property
+    def coincidence_producing(self) -> bool:
+        return not self.small_deformation
+
+    @property
+    def lifted_pair_loose(self) -> bool:
+        """For K = R the lifted self-pair on the sphere is loose exactly
+        when the invariant vanishes; for K = C or H the lift sphere is
+        odd-dimensional and the lifted pair is always loose."""
+        return self.omega_sharp_zero if self.K == "R" else True
+
+    @property
+    def gap_witness(self) -> bool:
+        return self.omega_sharp_zero and not self.small_deformation
 
 
 @dataclass(frozen=True)
@@ -84,43 +92,13 @@ class StructuralCriterion:
 
 def self_verdict(db: Database, K: str, m: int, nprime: int,
                  lift: GroupElement) -> LoosenessVerdict:
-    """Looseness verdict for the self-pair of a class with the given lift.
-
-    For projective targets, loose by small deformation, loose, and not
-    coincidence producing all coincide with boundary(lift) = 0; the
-    invariant vanishes iff E(boundary(lift)) = 0.  For K = R the lifted
-    self-pair on the sphere is loose exactly when the invariant
-    vanishes; for K = C or H the lift sphere is odd-dimensional and the
-    lifted pair is always loose.
-    """
-    if K not in _FIELD_DIMS:
-        raise ClassificationError(f"K must be R, C or H, got {K!r}")
-    if m < 2 or nprime < 2:
-        raise ClassificationError("the verdict needs m >= 2 and n' >= 2")
-    d = _FIELD_DIMS[K]
-    n = d * nprime
-    lift_key = (SpaceId.sphere(n + d - 1), m)
-    lift_group = db.require_group(*lift_key)
-    if lift.parent != lift_group:
-        raise ClassificationError(
-            f"lift must live in pi_{m}(S({n + d - 1})) = {lift_group}")
-    boundary = db.require_hom("boundary_K", lift_key,
-                              (SpaceId.sphere(n - 1), m - 1))
-    susp = db.require_hom("suspension_E", (SpaceId.sphere(n - 1), m - 1),
-                          (SpaceId.sphere(n), m))
-    b = boundary(lift)
-    small = b.is_zero
-    omega_zero = susp(b).is_zero
-    lifted_loose = omega_zero if K == "R" else True
-    return LoosenessVerdict(
-        K=K, m=m, nprime=nprime,
-        small_deformation=small,
-        loose=small,
-        coincidence_producing=not small,
-        omega_sharp_zero=omega_zero,
-        lifted_pair_loose=lifted_loose,
-        gap_witness=omega_zero and not small,
-    )
+    """Looseness verdict for the self-pair of a class with the given lift:
+    loose by small deformation iff boundary(lift) = 0, and the invariant
+    vanishes iff E(boundary(lift)) = 0."""
+    s = ProjectiveSlice.resolve(db, K, m, nprime, (lift,), with_antipodal=False)
+    b = s.boundary.hom(lift)
+    return LoosenessVerdict(K, m, nprime, small_deformation=b.is_zero,
+                            omega_sharp_zero=s.suspension.hom(b).is_zero)
 
 
 def criteria_equivalence_iii(criterion: StructuralCriterion) -> bool:

@@ -101,8 +101,7 @@ def test_table_reproduction(db):
         started = time.monotonic()
         for row, (K, m, nprime, group), k1, k2, expected in fixtures:
             ans = classify_projective(db, _cls(K, m, nprime, group, k1),
-                                      _cls(K, m, nprime, group, k2),
-                                      check_exclusive=True)
+                                      _cls(K, m, nprime, group, k2))
             assert ans.case_id == row, (row, k1, k2, ans.case_id)
             assert ans.triple == expected, (row, ans.triple, expected)
         elapsed = time.monotonic() - started
@@ -117,7 +116,7 @@ def test_generator_multiples_walkthrough(db):
         g11 = db.get_group(S(6), 11)
         for k in range(9):
             f = _cls("R", 11, 6, g11, k)
-            ans = classify_projective(db, f, f, check_exclusive=True)
+            ans = classify_projective(db, f, f)
             verdict = self_verdict(db, "R", 11, 6, g11.element((k,)))
             if k % 2 == 0:
                 assert ans.case_id == 1

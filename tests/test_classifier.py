@@ -6,14 +6,13 @@ from nielsencalc.classifier import (
     INF,
     ClassificationError,
     CoincidenceAnswer,
+    InconsistentDataError,
     ProjectiveClass,
     SpaceFormQuery,
     classify_projective,
     classify_space_form,
     classify_sphere_target,
-    nielsen_via_liftings,
     reidemeister_count,
-    reidemeister_count_covering,
     table_conditions,
 )
 from nielsencalc.homotopy_db import InsufficientDataError, SpaceId, load_default
@@ -61,7 +60,7 @@ def test_infinity_ordering():
 # the seven cases
 
 def test_case2_equal_generators(db):
-    ans = classify_projective(db, rp11(db, 1), rp11(db, 1), check_exclusive=True)
+    ans = classify_projective(db, rp11(db, 1), rp11(db, 1))
     assert ans.case_id == 2
     assert ans.triple == (0, 1, 1)
     assert ans.omega_sharp_zero is True
@@ -69,14 +68,14 @@ def test_case2_equal_generators(db):
 
 
 def test_case1_even_multiples(db):
-    ans = classify_projective(db, rp11(db, 2), rp11(db, 2), check_exclusive=True)
+    ans = classify_projective(db, rp11(db, 2), rp11(db, 2))
     assert ans.case_id == 1
     assert ans.triple == (0, 0, 0)
     assert ans.loose is True and ans.loose_small is True
 
 
 def test_case5_generator_vs_null(db):
-    ans = classify_projective(db, rp11(db, 1), rp11(db, 0), check_exclusive=True)
+    ans = classify_projective(db, rp11(db, 1), rp11(db, 0))
     assert ans.case_id == 5
     assert ans.triple == (2, 2, INF)
     # cross-check the Nielsen count against the Reidemeister cardinality
@@ -84,37 +83,36 @@ def test_case5_generator_vs_null(db):
 
 
 def test_case3_degree_coordinates(db):
-    ans = classify_projective(db, rp6(db, 1), rp6(db, 1), check_exclusive=True)
+    ans = classify_projective(db, rp6(db, 1), rp6(db, 1))
     assert ans.case_id == 3
     assert ans.triple == (1, 1, 1)
     # antipodally identified lifts give the same free homotopy class
-    ans2 = classify_projective(db, rp6(db, 1), rp6(db, -1), check_exclusive=True)
+    ans2 = classify_projective(db, rp6(db, 1), rp6(db, -1))
     assert ans2.case_id == 3 and ans2.triple == (1, 1, 1)
 
 
 def test_case4_suspension_difference(db):
-    ans = classify_projective(db, rp6(db, 3), rp6(db, 1), check_exclusive=True)
+    ans = classify_projective(db, rp6(db, 3), rp6(db, 1))
     assert ans.case_id == 4
     assert ans.triple == (2, 2, 2)
 
 
 def test_case7_complex(db):
-    ans = classify_projective(db, cp5(db, 1), cp5(db, 0), check_exclusive=True)
+    ans = classify_projective(db, cp5(db, 1), cp5(db, 0))
     assert ans.case_id == 7
     assert ans.triple == (1, 1, INF)
 
 
 def test_case6_complex_and_quaternionic(db):
-    ans = classify_projective(db, cp5(db, 1), cp5(db, 1), check_exclusive=True)
+    ans = classify_projective(db, cp5(db, 1), cp5(db, 1))
     assert ans.case_id == 6 and ans.triple == (1, 1, 1)
-    ans = classify_projective(db, hp11(db, 3), hp11(db, 3), check_exclusive=True)
+    ans = classify_projective(db, hp11(db, 3), hp11(db, 3))
     assert ans.case_id == 6 and ans.triple == (1, 1, 1)
 
 
 def test_quaternionic_kernel_is_index_eight(db):
     for k in range(-24, 25):
-        ans = classify_projective(db, hp11(db, k), hp11(db, k),
-                                  check_exclusive=True)
+        ans = classify_projective(db, hp11(db, k), hp11(db, k))
         assert (ans.case_id == 1) == (k % 8 == 0)
 
 
@@ -168,7 +166,7 @@ def test_residue_requires_db_entry(db):
     res = db.get_group(S(1), 1)
     f1 = ProjectiveClass("C", 2, 2, g.zero(), res.element((5,)))
     f2 = ProjectiveClass("C", 2, 2, g.zero())
-    ans = classify_projective(db, f1, f2, check_exclusive=True)
+    ans = classify_projective(db, f1, f2)
     assert ans.case_id == 1 and ans.triple == (0, 0, 0)
     assert "residue present, numbers unaffected" in ans.notes
 
@@ -321,15 +319,7 @@ def test_space_form_constraints():
 
 
 # ---------------------------------------------------------------------------
-# covering counts
-
-def test_nielsen_via_liftings():
-    assert nielsen_via_liftings({"e": True, "g": True}) == 0
-    assert nielsen_via_liftings({"e": True, "g": False}) == 1
-    assert nielsen_via_liftings({g: False for g in range(5)}) == 5
-    with pytest.raises(ClassificationError):
-        nielsen_via_liftings({})
-
+# Reidemeister counts
 
 def test_reidemeister_counts():
     assert reidemeister_count("R", 11) == 2
@@ -337,9 +327,6 @@ def test_reidemeister_counts():
     assert reidemeister_count("H", 11) == 1
     with pytest.raises(ClassificationError):
         reidemeister_count("R", 1)
-    assert reidemeister_count_covering(7) == 7
-    with pytest.raises(ClassificationError):
-        reidemeister_count_covering(0)
 
 
 def test_answer_invariant_checked():
@@ -363,5 +350,27 @@ def test_inconsistent_database_refused_not_fabricated():
     f = ProjectiveClass("R", 6, 6, g.element((1,)))
     with pytest.raises(ClassificationError, match="no case condition fired"):
         classify_projective(bogus, f, f)
-    with pytest.raises(ClassificationError):
-        classify_projective(bogus, f, f, check_exclusive=True)
+    with pytest.raises(InconsistentDataError, match=r"antipodal_A:S\(6\),6->S\(6\),6"):
+        classify_projective(bogus, f, f)
+
+
+def test_overlapping_conditions_refused():
+    # a zero boundary with A = -1 puts an equal pair into cases 1 and 3
+    import nielsencalc.homotopy_db as hdb
+    bogus = hdb.loads(
+        "nielsendb v1\n"
+        'group S(6) 6 = 1 [] gens i src "degree"\n'
+        'group S(5) 5 = 1 [] gens j src "degree"\n'
+        'hom boundary_K S(6),6 -> S(5),5 matrix [[0]] src "wrong on purpose"\n'
+        'hom suspension_E S(5),5 -> S(6),6 matrix [[1]] src "iso"\n'
+        'hom antipodal_A S(6),6 -> S(6),6 matrix [[-1]] src "degree -1"\n')
+    f = ProjectiveClass("R", 6, 6, bogus.get_group(S(6), 6).element((1,)))
+    assert table_conditions(bogus, f, f) == (True, False, True, False, False,
+                                             False, False)
+    with pytest.raises(InconsistentDataError, match=r"conditions \[1, 3\] fired"):
+        classify_projective(bogus, f, f)
+
+
+def test_exclusivity_check_has_no_switch(db):
+    with pytest.raises(TypeError):
+        classify_projective(db, rp11(db, 1), rp11(db, 1), check_exclusive=True)

@@ -216,6 +216,28 @@ def test_insufficient_data_exit_3(capsys):
     assert "pi_13(S(6))" in err
 
 
+def test_database_contradicting_the_table_exit_4(tmp_path, capsys):
+    # identity antipodal action on pi_6(S^6), where it must negate degree
+    path = tmp_path / "inconsistent.nielsendb"
+    path.write_text(
+        "nielsendb v1\n"
+        'group S(6) 6 = 1 [] gens i src "degree"\n'
+        'group S(5) 5 = 1 [] gens j src "degree"\n'
+        'hom boundary_K S(6),6 -> S(5),5 matrix [[2]] src "chi"\n'
+        'hom suspension_E S(5),5 -> S(6),6 matrix [[1]] src "iso"\n'
+        'hom antipodal_A S(6),6 -> S(6),6 matrix [[1]] src "wrong on purpose"\n',
+        encoding="utf-8")
+    code, out, err = run(capsys, "classify", "--K", "R", "--m", "6",
+                         "--nprime", "6", "--f1", "1", "--f2", "1",
+                         "--db", str(path))
+    assert code == 4
+    assert out == ""
+    assert "no case condition fired" in err
+    for ref in ("boundary_K:S(6),6->S(5),5", "suspension_E:S(5),5->S(6),6",
+                "antipodal_A:S(6),6->S(6),6"):
+        assert ref in err
+
+
 def test_errors_never_pollute_answer_stream(capsys):
     code, out, err = run(capsys, "classify", "--K", "R", "--m", "13",
                          "--nprime", "6", "--f1", "1", "--f2", "1")

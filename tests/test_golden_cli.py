@@ -1,0 +1,118 @@
+"""Golden transcript of the command line: stdout, stderr and exit code.
+
+Every README command runs in both output modes, next to the error paths
+for exit codes 2, 3 and 4.  ``golden/cli_transcript.json`` holds the
+expected results; refresh it after an intended change of behaviour with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from nielsencalc import homotopy_db
+from nielsencalc.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_transcript.json"
+
+README_COMMANDS = [
+    ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "1", "--f2", "1"],
+    ["self", "--K", "R", "--m", "11", "--nprime", "6", "--f", "1"],
+    ["sphere", "--m", "11", "--n", "6", "--f1", "1", "--f2", "0"],
+    ["sphere", "--m", "1", "--n", "1", "--f1", "3", "--f2", "1"],
+    ["spaceform", "--order", "5", "--n", "3", "--homotopic", "false"],
+    ["db-validate"],
+    ["db-show"],
+]
+
+ERROR_COMMANDS = [
+    # exit 2: bad coordinates, and a residue given with K = R
+    ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "1,2", "--f2", "1"],
+    ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "x", "--f2", "1"],
+    ["self", "--K", "R", "--m", "11", "--nprime", "6", "--f", "y"],
+    ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "1", "--f2", "1",
+     "--residue1", "0"],
+    # exit 3: a slice that is not in the database
+    ["classify", "--K", "R", "--m", "13", "--nprime", "6", "--f1", "1", "--f2", "1"],
+    ["self", "--K", "C", "--m", "9", "--nprime", "3", "--f", "1"],
+    # exit 4: a corrupted and a missing database file
+    ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "1", "--f2", "1",
+     "--db", "corrupt.nielsendb"],
+    ["db-validate", "--db", "corrupt.nielsendb"],
+    ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "1", "--f2", "1",
+     "--db", "missing.nielsendb"],
+    ["db-validate", "--db", "missing.nielsendb"],
+    # a database that contradicts the seven-case table
+    ["classify", "--K", "R", "--m", "6", "--nprime", "6", "--f1", "1", "--f2", "1",
+     "--db", "inconsistent.nielsendb"],
+]
+
+COMMANDS = ([argv + ["--output", mode] for argv in README_COMMANDS
+             for mode in ("text", "machine")] + ERROR_COMMANDS)
+
+# identity antipodal action on pi_6(S^6), where it must negate degree
+INCONSISTENT_DB = (
+    "nielsendb v1\n"
+    'group S(6) 6 = 1 [] gens i src "degree"\n'
+    'group S(5) 5 = 1 [] gens j src "degree"\n'
+    'hom boundary_K S(6),6 -> S(5),5 matrix [[2]] src "chi"\n'
+    'hom suspension_E S(5),5 -> S(6),6 matrix [[1]] src "iso"\n'
+    'hom antipodal_A S(6),6 -> S(6),6 matrix [[1]] src "wrong on purpose"\n')
+
+
+def _write_databases(directory: Path):
+    corrupt = homotopy_db.default_db_text().replace(
+        "group S(7) 10 = 0 [24] gens nu7",
+        "group S(7) 10 = 0 [4,2] gens nu7,extra")
+    (directory / "corrupt.nielsendb").write_text(corrupt, encoding="utf-8")
+    (directory / "inconsistent.nielsendb").write_text(INCONSISTENT_DB,
+                                                      encoding="utf-8")
+
+
+def _run(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+def _expected():
+    return {tuple(entry["argv"]): entry
+            for entry in json.loads(GOLDEN.read_text(encoding="utf-8"))}
+
+
+def test_golden_covers_every_command():
+    assert set(_expected()) == {tuple(argv) for argv in COMMANDS}
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_golden_cli(argv, tmp_path, monkeypatch):
+    monkeypatch.delenv("NIELSEN_DB", raising=False)
+    monkeypatch.chdir(tmp_path)
+    _write_databases(tmp_path)
+    assert _run(argv) == _expected()[tuple(argv)]
+
+
+def _record():
+    os.environ.pop("NIELSEN_DB", None)
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_databases(Path(tmp))
+        os.chdir(tmp)
+        try:
+            entries = [_run(argv) for argv in COMMANDS]
+        finally:
+            os.chdir(here)
+    GOLDEN.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n",
+                      encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _record()

@@ -1,4 +1,7 @@
+import dataclasses
 import random
+import re
+from types import MappingProxyType
 
 import pytest
 
@@ -115,6 +118,45 @@ def test_round_trip_with_bare_assertion_refs():
     db2 = loads(serialize(db1))
     assert db1 == db2
     assert serialize(db1) == serialize(db2)
+
+
+def test_loaded_database_cannot_be_changed(db):
+    text = serialize(db)
+    with pytest.raises(AttributeError):
+        db.homs.append(db.homs[0])
+    with pytest.raises(TypeError):
+        db.groups[(S(6), 11)] = db.groups[(S(5), 10)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        db.homs[0].matrix = ((5,),)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        db.groups[(S(6), 11)].provenance = "changed"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        db.assertions = ()
+    assert validate(db) == []
+    assert serialize(db) == text
+
+
+def test_hash_inside_quotes_is_not_a_comment():
+    text = ('nielsendb v1\n'
+            'group S(2) 2 = 1 [] gens a src "Toda #3"  # a real comment\n')
+    db, violations = hdb.check(text)
+    assert violations == []
+    assert db.groups[(S(2), 2)].provenance == "Toda #3"
+    again = loads(serialize(db))
+    assert again == db
+    assert again.groups[(S(2), 2)].provenance == "Toda #3"
+
+
+def test_serialize_refuses_quote_in_provenance(db):
+    entry = db.groups[(S(6), 11)]
+    quoted = dataclasses.replace(entry, provenance='say "hi"')
+    bad = dataclasses.replace(
+        db, groups=MappingProxyType({**db.groups, entry.key: quoted}))
+    with pytest.raises(ValueError, match=r"pi_11\(S\(6\)\)"):
+        serialize(bad)
+    hom = dataclasses.replace(db.homs[0], provenance='say "hi"')
+    with pytest.raises(ValueError, match=re.escape(db.homs[0].ref())):
+        serialize(dataclasses.replace(db, homs=(hom,) + db.homs[1:]))
 
 
 # ---------------------------------------------------------------------------

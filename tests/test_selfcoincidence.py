@@ -84,15 +84,8 @@ def test_implication_chain_everywhere(db):
 
 def test_verdict_invariants_enforced():
     with pytest.raises(ClassificationError):
-        LoosenessVerdict("R", 11, 6,
-                         small_deformation=True, loose=False,
-                         coincidence_producing=True, omega_sharp_zero=False,
-                         lifted_pair_loose=False, gap_witness=False)
-    with pytest.raises(ClassificationError):
-        LoosenessVerdict("R", 11, 6,
-                         small_deformation=False, loose=True,
-                         coincidence_producing=False, omega_sharp_zero=False,
-                         lifted_pair_loose=True, gap_witness=False)
+        LoosenessVerdict("R", 11, 6, small_deformation=True,
+                         omega_sharp_zero=False)
 
 
 def test_verdict_preconditions(db):
