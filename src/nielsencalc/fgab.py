@@ -45,98 +45,111 @@ __all__ = [
 # matrices with zero rows or zero columns stay unambiguous)
 
 def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def _mat_vec(matrix: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
     return [sum(map(mul, row, vec)) for row in matrix]
 
 
-def _snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int):
+def _snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int,
+         want_u: bool, want_v: bool):
     """Return (U, D, V, rank) with U*matrix*V = D.
 
     D is diagonal with nonnegative entries forming a divisibility chain
     (zeros at the end), U and V are unimodular.  Pivots are chosen as the
     entry of minimal absolute value, first occurrence in row-major order;
-    this makes the output deterministic.
+    this makes the output deterministic.  U is None unless want_u and V
+    is None unless want_v; the pivots and D do not depend on them.
+    kernel, paired_injective and Subgroup.isomorphism_type want V,
+    exact_at wants U, in_image and smith_normal_form want both, and
+    is_surjective and FgAbGroup.from_presentation want neither.
+
+    Step t works on the active block, rows and columns t onwards: a row
+    operation updates row[t:], a column operation only the rows with a
+    nonzero column-t entry.  V is built as the list of its columns, so
+    that a column operation updates one list, and transposed at the end.
     """
     a = [list(row) for row in matrix]
-    u = _identity(nrows)
-    v = _identity(ncols)
+    u = _identity(nrows) if want_u else None
+    vt = _identity(ncols) if want_v else None
     t = 0
     while t < nrows and t < ncols:
-        # pivot: minimal absolute value, first in row-major order
-        pivot = None
-        best = None
+        # pivot: minimal absolute value, first in row-major order; no
+        # entry beats a unit, so the search stops at the first one
+        best = 0
         for i in range(t, nrows):
+            row = a[i]
             for j in range(t, ncols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
+                x = row[j]
+                if x and (abs(x) < best or not best):
+                    best, pi, pj = abs(x), i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
             break
-        pi, pj = pivot
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
+            if want_u:
+                u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            for row in a:
+            for row in a[t:]:
                 row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
-        p = a[t][t]
+            if want_v:
+                vt[t], vt[pj] = vt[pj], vt[t]
+        pivot_row = a[t]
+        p = pivot_row[t]
         # clear below and to the right of the pivot; a nonzero remainder
-        # becomes a strictly smaller pivot on the next pass
-        dirty = False
+        # becomes a strictly smaller pivot on the next pass.  (Index loops
+        # beat list comprehensions on rows of up to ~32 entries.)
+        active = [pivot_row]      # the rows with a nonzero column-t entry
+        ut = u[t] if want_u else None
         for i in range(t + 1, nrows):
-            if a[i][t]:
-                q = a[i][t] // p
+            row = a[i]
+            if row[t]:
+                q = row[t] // p
                 if q:
-                    for j in range(ncols):
-                        a[i][j] -= q * a[t][j]
-                    for j in range(nrows):
-                        u[i][j] -= q * u[t][j]
-                if a[i][t]:
-                    dirty = True
+                    for j in range(t, ncols):
+                        row[j] -= q * pivot_row[j]
+                    if want_u:
+                        ui = u[i]
+                        for j in range(nrows):
+                            ui[j] -= q * ut[j]
+                if row[t]:
+                    active.append(row)
+        vtt = vt[t] if want_v else None
         for j in range(t + 1, ncols):
-            if a[t][j]:
-                q = a[t][j] // p
-                if q:
-                    for i in range(nrows):
-                        a[i][j] -= q * a[i][t]
+            q = pivot_row[j] // p
+            if q:
+                for row in active:
+                    row[j] -= q * row[t]
+                if want_v:
+                    col = vt[j]
                     for i in range(ncols):
-                        v[i][j] -= q * v[i][t]
-                if a[t][j]:
-                    dirty = True
-        if dirty:
+                        col[i] -= q * vtt[i]
+        if len(active) > 1 or any(pivot_row[t + 1:]):
             continue
-        # divisibility: fold an offending row into row t and re-reduce
-        bad = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % p != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            for j in range(ncols):
-                a[t][j] += a[bad][j]
-            for j in range(nrows):
-                u[t][j] += u[bad][j]
+        # divisibility: fold an offending row into row t and re-reduce;
+        # every entry is a multiple of a unit pivot
+        bad = None if best == 1 else next(
+            (i for i in range(t + 1, nrows) if any(x % p for x in a[i][t + 1:])),
+            None)
+        if bad is None:
+            t += 1
             continue
-        t += 1
-    rank = 0
-    for i in range(min(nrows, ncols)):
+        pivot_row[t:] = [x + y for x, y in zip(pivot_row[t:], a[bad][t:])]
+        if want_u:
+            u[t] = [x + y for x, y in zip(ut, u[bad])]
+    # the t pivots are the nonzero diagonal entries
+    for i in range(t):
         if a[i][i] < 0:
-            for j in range(ncols):
-                a[i][j] = -a[i][j]
-            for j in range(nrows):
-                u[i][j] = -u[i][j]
-        if a[i][i] != 0:
-            rank += 1
-    return u, a, v, rank
+            a[i][i] = -a[i][i]    # the rest of row i is zero
+            if want_u:
+                u[i] = [-x for x in u[i]]
+    v = list(map(list, zip(*vt))) if want_v else None
+    return u, a, v, t
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]):
@@ -154,7 +167,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
         for x in row:
             if not isinstance(x, int):
                 raise ValueError("matrix entries must be integers")
-    u, d, v, _ = _snf(matrix, nrows, ncols)
+    u, d, v, _ = _snf(matrix, nrows, ncols, want_u=True, want_v=True)
     return u, d, v
 
 
@@ -224,7 +237,8 @@ class FgAbGroup:
                 raise ValueError("relator length must equal num_generators")
         ncols = len(rels)
         matrix = [[rels[j][i] for j in range(ncols)] for i in range(num_generators)]
-        _, d, _, rank = _snf(matrix, num_generators, ncols)
+        _, d, _, rank = _snf(matrix, num_generators, ncols,
+                             want_u=False, want_v=False)
         diag = [d[i][i] for i in range(min(num_generators, ncols))]
         return cls(num_generators - rank, tuple(x for x in diag if x >= 2))
 
@@ -416,18 +430,26 @@ class Homomorphism:
         # vanishes exactly when every entry is zero
         return not any(map(any, self.matrix))
 
-    def _augmented(self):
-        """Cached SNF of [matrix | target relations]; solves image queries."""
+    def _augmented(self, want_u: bool, want_v: bool):
+        """Cached SNF of [matrix | target relations]; solves image queries.
+
+        The one cache slot is refilled, with the transforms it held and
+        those asked for, only when it lacks a transform that is asked for.
+        """
         cached = self._snf_cache
-        if cached is None:
-            rels = _relation_columns(self.target)
-            nrows = self.target.dim
-            ncols = self.source.dim + len(rels)
-            aug = [list(self.matrix[i]) + [col[i] for col in rels]
-                   for i in range(nrows)]
-            u, d, v, rank = _snf(aug, nrows, ncols)
-            cached = (u, d, v, rank, nrows, ncols)
-            object.__setattr__(self, "_snf_cache", cached)
+        if cached is not None:
+            has_u, has_v = cached[0] is not None, cached[2] is not None
+            if (has_u or not want_u) and (has_v or not want_v):
+                return cached
+            want_u, want_v = want_u or has_u, want_v or has_v
+        rels = _relation_columns(self.target)
+        nrows = self.target.dim
+        ncols = self.source.dim + len(rels)
+        aug = [list(self.matrix[i]) + [col[i] for col in rels]
+               for i in range(nrows)]
+        u, d, v, rank = _snf(aug, nrows, ncols, want_u, want_v)
+        cached = (u, d, v, rank, nrows, ncols)
+        object.__setattr__(self, "_snf_cache", cached)
         return cached
 
     def __eq__(self, other) -> bool:
@@ -501,7 +523,7 @@ class Subgroup:
         ncols = g + len(rels)
         aug = [[self.generators[j].coords[i] for j in range(g)] +
                [col[i] for col in rels] for i in range(nrows)]
-        _, _, v, rank = _snf(aug, nrows, ncols)
+        _, _, v, rank = _snf(aug, nrows, ncols, want_u=False, want_v=True)
         relation_vectors = [[v[i][j] for i in range(g)]
                             for j in range(rank, ncols)]
         return FgAbGroup.from_presentation(g, relation_vectors)
@@ -522,7 +544,7 @@ def _normalize_gen(coords: Sequence[int]) -> list[int]:
 
 def kernel(h: Homomorphism) -> Subgroup:
     """Generators of {x : h(x) = 0}."""
-    u, d, v, rank, nrows, ncols = h._augmented()
+    _, _, v, rank, _, ncols = h._augmented(want_u=False, want_v=True)
     sdim = h.source.dim
     gens: dict[GroupElement, None] = {}
     for vec in _kernel_basis_from(v, rank, ncols):
@@ -536,7 +558,7 @@ def in_image(h: Homomorphism, y: GroupElement):
     """Decide y in im(h); returns (found, witness) with h(witness) = y."""
     if not isinstance(y, GroupElement) or y.parent != h.target:
         raise ValueError("parent mismatch: element is not in the target group")
-    u, d, v, rank, _, _ = h._augmented()
+    u, d, v, rank, _, _ = h._augmented(want_u=True, want_v=True)
     sol = _snf_coords(u, d, rank, y.coords)
     if sol is None:
         return False, None
@@ -561,7 +583,7 @@ def is_surjective(h: Homomorphism) -> bool:
     """Is im(h) the whole target?  Read off the cached augmented SNF: the
     columns of [matrix | target relations] must span Z^dim, i.e. have
     full row rank with every invariant factor 1."""
-    _, d, _, rank, nrows, _ = h._augmented()
+    _, d, _, rank, nrows, _ = h._augmented(want_u=False, want_v=False)
     return rank == nrows and all(d[i][i] == 1 for i in range(rank))
 
 
@@ -580,7 +602,7 @@ def paired_injective(h1: Homomorphism, h2: Homomorphism) -> bool:
         aug.append(list(h1.matrix[i]) + [col[i] for col in r1] + [0] * k2)
     for i in range(t2):
         aug.append(list(h2.matrix[i]) + [0] * k1 + [col[i] for col in r2])
-    _, _, v, rank = _snf(aug, t1 + t2, ncols)
+    _, _, v, rank = _snf(aug, t1 + t2, ncols, want_u=False, want_v=True)
     for vec in _kernel_basis_from(v, rank, ncols):
         if not src.element(vec[:src.dim]).is_zero:
             return False
@@ -593,6 +615,6 @@ def exact_at(left: Homomorphism, right: Homomorphism) -> bool:
         raise ValueError("shape mismatch: left.target must equal right.source")
     if not compose(right, left).is_zero_map():
         return False
-    u, d, _, rank, _, _ = left._augmented()
+    u, d, _, rank, _, _ = left._augmented(want_u=True, want_v=False)
     return all(_snf_coords(u, d, rank, k.coords) is not None
                for k in kernel(right).generators)

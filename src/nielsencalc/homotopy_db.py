@@ -394,7 +394,8 @@ def _build(version, groups, homs, assertions) -> Database:
 
 def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
                 lineno: int, violations: list[Violation]):
-    if line.startswith("group "):
+    directive = line.split(None, 1)[0]
+    if directive == "group":
         m = _GROUP_RE.match(line)
         if not m:
             raise ValueError("malformed group line")
@@ -422,7 +423,7 @@ def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
                 "duplicate", subject, "second entry for the same group", lineno))
             return
         groups[entry.key] = entry
-    elif line.startswith("hom "):
+    elif directive == "hom":
         m = _HOM_RE.match(line)
         if not m:
             raise ValueError("malformed hom line")
@@ -443,24 +444,24 @@ def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
                 lineno))
             return
         homs[entry.key] = entry
-    elif line.startswith("assert_exact"):
+    elif directive == "assert_exact":
         parts = line.split()
         if len(parts) != 3:
             raise ValueError("assert_exact needs exactly two hom references")
         refs = tuple(HomRef.parse(p) for p in parts[1:])
         assertions.append(Assertion("exact", refs, lineno))
-    elif line.startswith("assert_zero"):
+    elif directive == "assert_zero":
         parts = line.split()
         if len(parts) != 2:
             raise ValueError("assert_zero needs exactly one hom reference")
         assertions.append(Assertion("zero", (HomRef.parse(parts[1]),), lineno))
-    elif line.startswith("assert_surjective"):
+    elif directive == "assert_surjective":
         parts = line.split()
         if len(parts) != 2:
             raise ValueError("assert_surjective needs exactly one hom reference")
         assertions.append(Assertion("surjective", (HomRef.parse(parts[1]),), lineno))
     else:
-        raise ValueError(f"unrecognized directive {line.split()[0]!r}")
+        raise ValueError(f"unrecognized directive {directive!r}")
 
 
 # ---------------------------------------------------------------------------

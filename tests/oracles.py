@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Sequence
 
 from nielsencalc.fgab import FgAbGroup, GroupElement, Homomorphism, Subgroup
 
@@ -130,3 +131,99 @@ def random_well_defined_hom(rng: random.Random, source: FgAbGroup,
         cols.append(col)
     matrix = [[cols[j][i] for j in range(source.dim)] for i in range(target.dim)]
     return Homomorphism(source, target, matrix)
+
+
+def _identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def reference_snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int):
+    """Return (U, D, V, rank) with U*matrix*V = D.
+
+    A frozen copy of the straightforward Smith normal form that
+    nielsencalc.fgab._snf must reproduce exactly: same pivots, same U, D
+    and V.  It updates whole rows and columns with index loops and
+    always builds both transforms.
+
+    D is diagonal with nonnegative entries forming a divisibility chain
+    (zeros at the end), U and V are unimodular.  Pivots are chosen as the
+    entry of minimal absolute value, first occurrence in row-major order;
+    this makes the output deterministic.
+    """
+    a = [list(row) for row in matrix]
+    u = _identity(nrows)
+    v = _identity(ncols)
+    t = 0
+    while t < nrows and t < ncols:
+        # pivot: minimal absolute value, first in row-major order
+        pivot = None
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < best):
+                    best = abs(x)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+            u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+            for row in v:
+                row[t], row[pj] = row[pj], row[t]
+        p = a[t][t]
+        # clear below and to the right of the pivot; a nonzero remainder
+        # becomes a strictly smaller pivot on the next pass
+        dirty = False
+        for i in range(t + 1, nrows):
+            if a[i][t]:
+                q = a[i][t] // p
+                if q:
+                    for j in range(ncols):
+                        a[i][j] -= q * a[t][j]
+                    for j in range(nrows):
+                        u[i][j] -= q * u[t][j]
+                if a[i][t]:
+                    dirty = True
+        for j in range(t + 1, ncols):
+            if a[t][j]:
+                q = a[t][j] // p
+                if q:
+                    for i in range(nrows):
+                        a[i][j] -= q * a[i][t]
+                    for i in range(ncols):
+                        v[i][j] -= q * v[i][t]
+                if a[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        # divisibility: fold an offending row into row t and re-reduce
+        bad = None
+        for i in range(t + 1, nrows):
+            for j in range(t + 1, ncols):
+                if a[i][j] % p != 0:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            for j in range(ncols):
+                a[t][j] += a[bad][j]
+            for j in range(nrows):
+                u[t][j] += u[bad][j]
+            continue
+        t += 1
+    rank = 0
+    for i in range(min(nrows, ncols)):
+        if a[i][i] < 0:
+            for j in range(ncols):
+                a[i][j] = -a[i][j]
+            for j in range(nrows):
+                u[i][j] = -u[i][j]
+        if a[i][i] != 0:
+            rank += 1
+    return u, a, v, rank

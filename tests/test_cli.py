@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import nielsencalc
 from nielsencalc import homotopy_db
 from nielsencalc.cli import main
 
@@ -258,9 +261,14 @@ def test_deterministic_output(capsys):
 
 
 def test_module_invocation_subprocess():
+    # the child imports the package this process imported, also when the
+    # test run put src/ on sys.path without setting PYTHONPATH
+    package_root = str(Path(nielsencalc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "nielsencalc", "spaceform", "--order", "7",
          "--n", "3", "--homotopic", "false"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "N#=MCC=7" in proc.stdout

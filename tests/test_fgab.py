@@ -409,3 +409,26 @@ def test_kernel_order_bookkeeping():
         h = random_well_defined_hom(rng, src, tgt)
         ker_order = kernel(h).isomorphism_type().order()
         assert ker_order * len(brute_image(h)) == src.order()
+
+
+def test_transforms_added_to_the_cache_on_demand():
+    # kernel caches V alone and exact_at caches U alone for its left map;
+    # a later query that needs the other transform recomputes with both,
+    # and must answer exactly as a map queried fresh
+    rng = random.Random(77)
+    groups = all_finite_groups(36, 2) + [Z, FgAbGroup(2, (2,)), FgAbGroup(1, (3, 6))]
+    for _ in range(60):
+        src, tgt = rng.choice(groups), rng.choice(groups)
+        matrix = random_well_defined_hom(rng, src, tgt).matrix
+        ys = [tgt.zero()] + [random_well_defined_hom(rng, src, tgt)(x)
+                             for x in src.generators()]
+        fresh = [in_image(Homomorphism(src, tgt, matrix), y) for y in ys]
+        by_kernel = Homomorphism(src, tgt, matrix)
+        by_exact = Homomorphism(src, tgt, matrix)
+        kernel_gens = kernel(by_kernel).generators
+        exact_at(by_exact, zero_hom(tgt, TRIVIAL))
+        for h in (by_kernel, by_exact):
+            assert [in_image(h, y) for y in ys] == fresh
+            assert kernel(h).generators == kernel_gens
+            u, _, v, *_ = h._snf_cache
+            assert u is not None and v is not None

@@ -291,6 +291,36 @@ def test_check_reports_without_raising():
     assert violations
 
 
+_NEAR_MISS_DB = ("nielsendb v1\n"
+                 'group S(2) 2 = 1 [] gens a src "x"\n'
+                 'hom boundary_K S(2),2 -> S(2),2 matrix [[0]] src "y"\n'
+                 'hom suspension_E S(2),2 -> S(2),2 matrix [[0]] src "z"\n'
+                 'hom fiber_incl S(2),2 -> S(2),2 matrix [[1]] src "w"\n'
+                 "{line}\n")
+
+
+@pytest.mark.parametrize("line", [
+    "assert_exactly boundary_K boundary_K",
+    "assert_zeroes suspension_E",
+    "assert_surjectivex fiber_incl",
+    "groupie S(3) 3 = 1 [] gens b src \"v\"",
+    "homs suspension_E S(2),2 -> S(2),2 matrix [[0]] src \"v\"",
+])
+def test_directive_is_the_whole_first_word(line):
+    # a directive that merely starts with a known one is not that one
+    db, violations = hdb.check(_NEAR_MISS_DB.format(line=line))
+    directive = line.split()[0]
+    assert [(v.kind, v.message, v.line) for v in violations] == [
+        ("parse", f"unrecognized directive {directive!r}", 6)]
+    assert db.assertions == ()
+
+
+def test_directive_may_be_followed_by_a_tab():
+    db, violations = hdb.check('nielsendb v1\ngroup\tS(2) 2 = 1 [] gens a src "x"\n')
+    assert violations == []
+    assert list(db.groups) == [(S(2), 2)]
+
+
 # ---------------------------------------------------------------------------
 # matrix literal grammar
 
