@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .fgab import FgAbGroup, GroupElement, in_image
+from .fgab import FgAbGroup, GroupElement, _image_contains
 from .homotopy_db import FIELD_DIMS, Database, HomEntry, SpaceId
 
 __all__ = [
@@ -274,7 +274,7 @@ def table_conditions(db: Database, f1: ProjectiveClass,
     if s.K == "R":
         a2 = s.antipodal.hom(lift2)
         free_homotopic = lift1 == lift2 or lift1 == a2
-        diff_in_im_e = in_image(s.suspension.hom, lift1 - lift2)[0]
+        diff_in_im_e = _image_contains(s.suspension.hom, lift1 - lift2)
         return (
             free_homotopic and b2.is_zero,
             free_homotopic and eb2.is_zero and not b2.is_zero,

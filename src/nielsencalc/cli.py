@@ -35,6 +35,7 @@ from .homotopy_db import (
     DatabaseError,
     InsufficientDataError,
     SpaceId,
+    Violation,
 )
 from .selfcoincidence import LoosenessVerdict, self_verdict
 
@@ -252,6 +253,9 @@ def _cmd_db_validate(args) -> int:
         except OSError as exc:
             print(f"database error: {exc}", file=sys.stderr)
             return 4
+        except UnicodeDecodeError as exc:
+            raise DatabaseError([Violation("io", str(path), str(exc))],
+                                str(path)) from exc
         origin = str(path)
     else:
         text = homotopy_db.default_db_text()

@@ -8,10 +8,16 @@ torsion factor, stored reduced mod its factor), and homomorphisms are
 integer matrices whose column j gives the target coordinates of the
 image of source generator j.
 
-Everything reduces to Smith normal form over Z: kernels, images,
-membership tests, exactness of two consecutive maps.  All integers are
-arbitrary precision and every value is immutable after construction, so
-values can be shared freely between threads.
+Everything reduces to Smith normal form over Z.  Each homomorphism
+caches one SNF of its augmented matrix [matrix | target relations], with
+only the transforms asked for so far: D alone for is_surjective and the
+cokernel of exact_at's left map; V for kernel and image types
+(exact_at's right map, Subgroup.isomorphism_type); U for membership
+without a witness (in_subgroup, the classifier's im E test); both for
+in_image.  exact_at compares invariant factors, which suffices
+because f.g. abelian groups are Hopfian.  All integers are arbitrary
+precision and every value is immutable after construction, so values
+can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -54,21 +60,24 @@ def _mat_vec(matrix: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
 
 def _snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int,
          want_u: bool, want_v: bool):
-    """Return (U, D, V, rank) with U*matrix*V = D.
+    """Return (U, D, Vcols, rank) with U*matrix*V = D.
 
     D is diagonal with nonnegative entries forming a divisibility chain
-    (zeros at the end), U and V are unimodular.  Pivots are chosen as the
-    entry of minimal absolute value, first occurrence in row-major order;
-    this makes the output deterministic.  U is None unless want_u and V
-    is None unless want_v; the pivots and D do not depend on them.
-    kernel, paired_injective and Subgroup.isomorphism_type want V,
-    exact_at wants U, in_image and smith_normal_form want both, and
-    is_surjective and FgAbGroup.from_presentation want neither.
+    (zeros at the end), U and V are unimodular; V is returned as the list
+    of its columns, which is how every caller reads it.  Pivots are chosen
+    as the entry of minimal absolute value, first occurrence in row-major
+    order; this makes the output deterministic.  U is None unless want_u
+    and V is None unless want_v; the pivots and D do not depend on them.
+    kernel, paired_injective and _image_type (the right map of exact_at,
+    Subgroup.isomorphism_type) want V; _image_contains (in_subgroup, the
+    classifier's im E test) wants U; in_image wants both, and so does
+    smith_normal_form, which transposes V; is_surjective, the left map of
+    exact_at and FgAbGroup.from_presentation want neither.
 
     Step t works on the active block, rows and columns t onwards: a row
     operation updates row[t:], a column operation only the rows with a
     nonzero column-t entry.  V is built as the list of its columns, so
-    that a column operation updates one list, and transposed at the end.
+    that a column operation updates one list.
     """
     a = [list(row) for row in matrix]
     u = _identity(nrows) if want_u else None
@@ -148,8 +157,7 @@ def _snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int,
             a[i][i] = -a[i][i]    # the rest of row i is zero
             if want_u:
                 u[i] = [-x for x in u[i]]
-    v = list(map(list, zip(*vt))) if want_v else None
-    return u, a, v, t
+    return u, a, vt, t
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]):
@@ -167,8 +175,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
         for x in row:
             if not isinstance(x, int):
                 raise ValueError("matrix entries must be integers")
-    u, d, v, _ = _snf(matrix, nrows, ncols, want_u=True, want_v=True)
-    return u, d, v
+    u, d, vcols, _ = _snf(matrix, nrows, ncols, want_u=True, want_v=True)
+    return u, d, list(map(list, zip(*vcols)))
 
 
 def _snf_coords(u, d, rank, b: Sequence[int]) -> Optional[list[int]]:
@@ -187,11 +195,6 @@ def _snf_coords(u, d, rank, b: Sequence[int]) -> Optional[list[int]]:
             return None
         y.append(q)
     return y
-
-
-def _kernel_basis_from(v, rank, ncols) -> list[list[int]]:
-    """Basis of the integer kernel lattice: columns of V past the rank."""
-    return [[v[i][j] for i in range(ncols)] for j in range(rank, ncols)]
 
 
 # ---------------------------------------------------------------------------
@@ -515,18 +518,7 @@ class Subgroup:
 
     def isomorphism_type(self) -> FgAbGroup:
         """Canonical form of the subgroup, computed on demand via SNF."""
-        g = len(self.generators)
-        if g == 0:
-            return FgAbGroup(0, ())
-        rels = _relation_columns(self.ambient)
-        nrows = self.ambient.dim
-        ncols = g + len(rels)
-        aug = [[self.generators[j].coords[i] for j in range(g)] +
-               [col[i] for col in rels] for i in range(nrows)]
-        _, _, v, rank = _snf(aug, nrows, ncols, want_u=False, want_v=True)
-        relation_vectors = [[v[i][j] for i in range(g)]
-                            for j in range(rank, ncols)]
-        return FgAbGroup.from_presentation(g, relation_vectors)
+        return _image_type(self._assembly())
 
     def order(self) -> Optional[int]:
         return self.isomorphism_type().order()
@@ -544,10 +536,11 @@ def _normalize_gen(coords: Sequence[int]) -> list[int]:
 
 def kernel(h: Homomorphism) -> Subgroup:
     """Generators of {x : h(x) = 0}."""
-    _, _, v, rank, _, ncols = h._augmented(want_u=False, want_v=True)
+    _, _, vcols, rank, _, _ = h._augmented(want_u=False, want_v=True)
     sdim = h.source.dim
     gens: dict[GroupElement, None] = {}
-    for vec in _kernel_basis_from(v, rank, ncols):
+    # the columns of V past the rank span the kernel lattice
+    for vec in vcols[rank:]:
         x = h.source.element(_normalize_gen(vec[:sdim]))
         if not x.is_zero:
             gens.setdefault(x)
@@ -558,21 +551,39 @@ def in_image(h: Homomorphism, y: GroupElement):
     """Decide y in im(h); returns (found, witness) with h(witness) = y."""
     if not isinstance(y, GroupElement) or y.parent != h.target:
         raise ValueError("parent mismatch: element is not in the target group")
-    u, d, v, rank, _, _ = h._augmented(want_u=True, want_v=True)
+    u, d, vcols, rank, _, _ = h._augmented(want_u=True, want_v=True)
     sol = _snf_coords(u, d, rank, y.coords)
     if sol is None:
         return False, None
     # only the source coordinates of V y are needed; the rest solve for
     # the target relations
-    return True, h.source.element(_mat_vec(v[:h.source.dim], sol))
+    return True, h.source.element(
+        [sum(c * col[i] for c, col in zip(sol, vcols))
+         for i in range(h.source.dim)])
+
+
+def _image_contains(h: Homomorphism, y: GroupElement) -> bool:
+    """Decide y in im(h) from U alone: no V and no witness."""
+    if not isinstance(y, GroupElement) or y.parent != h.target:
+        raise ValueError("parent mismatch: element is not in the target group")
+    u, d, _, rank, _, _ = h._augmented(want_u=True, want_v=False)
+    return _snf_coords(u, d, rank, y.coords) is not None
+
+
+def _image_type(h: Homomorphism) -> FgAbGroup:
+    """Isomorphism type of im(h), presented as Z^source.dim modulo the
+    lattice of source vectors that h sends to zero: the source rows of
+    the columns of V past the rank."""
+    _, _, vcols, rank, _, _ = h._augmented(want_u=False, want_v=True)
+    sdim = h.source.dim
+    return FgAbGroup.from_presentation(sdim, [col[:sdim] for col in vcols[rank:]])
 
 
 def in_subgroup(s: Subgroup, y: GroupElement) -> bool:
     """Is y an integer combination of the subgroup's generators?"""
     if not isinstance(y, GroupElement) or y.parent != s.ambient:
         raise ValueError("parent mismatch: element is not in the ambient group")
-    found, _ = in_image(s._assembly(), y)
-    return found
+    return _image_contains(s._assembly(), y)
 
 
 def is_injective(h: Homomorphism) -> bool:
@@ -602,19 +613,28 @@ def paired_injective(h1: Homomorphism, h2: Homomorphism) -> bool:
         aug.append(list(h1.matrix[i]) + [col[i] for col in r1] + [0] * k2)
     for i in range(t2):
         aug.append(list(h2.matrix[i]) + [0] * k1 + [col[i] for col in r2])
-    _, _, v, rank = _snf(aug, t1 + t2, ncols, want_u=False, want_v=True)
-    for vec in _kernel_basis_from(v, rank, ncols):
+    _, _, vcols, rank = _snf(aug, t1 + t2, ncols, want_u=False, want_v=True)
+    for vec in vcols[rank:]:
         if not src.element(vec[:src.dim]).is_zero:
             return False
     return True
 
 
 def exact_at(left: Homomorphism, right: Homomorphism) -> bool:
-    """Is im(left) = ker(right)?  Requires left.target = right.source."""
+    """Is im(left) = ker(right)?  Requires left.target = right.source.
+
+    A zero composite gives H = im(left) <= K = ker(right) inside
+    M = left.target, so M/H maps onto M/K, which is isomorphic to
+    im(right).  F.g. abelian groups are Hopfian: a surjection between
+    isomorphic ones is injective.  Hence H = K exactly when coker(left),
+    read off the diagonal of left's augmented SNF, is isomorphic to
+    im(right).  No transform of left and no membership solve is needed.
+    """
     if left.target != right.source:
         raise ValueError("shape mismatch: left.target must equal right.source")
     if not compose(right, left).is_zero_map():
         return False
-    u, d, _, rank, _, _ = left._augmented(want_u=True, want_v=False)
-    return all(_snf_coords(u, d, rank, k.coords) is not None
-               for k in kernel(right).generators)
+    _, d, _, rank, nrows, _ = left._augmented(want_u=False, want_v=False)
+    coker = FgAbGroup(nrows - rank,
+                      tuple(d[i][i] for i in range(rank) if d[i][i] >= 2))
+    return coker == _image_type(right)

@@ -28,7 +28,7 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .fgab import FgAbGroup, Homomorphism, exact_at, is_injective, is_surjective
+from .fgab import FgAbGroup, Homomorphism, exact_at, is_surjective
 
 __all__ = [
     "SpaceId",
@@ -514,7 +514,9 @@ def validate(db: Database) -> list[Violation]:
                     "not_automorphism", entry.ref(),
                     "antipodal action must be an endomorphism of one group",
                     entry.line))
-            elif not (is_injective(entry.hom) and is_surjective(entry.hom)):
+            elif not is_surjective(entry.hom):
+                # a surjective endomorphism of a f.g. abelian group is
+                # injective (Hopfian), so surjectivity decides automorphy
                 violations.append(Violation(
                     "not_automorphism", entry.ref(),
                     "antipodal action must be an automorphism", entry.line))
@@ -569,7 +571,7 @@ def load(path) -> Database:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatabaseError(
             [Violation("io", str(path), str(exc))], str(path)) from exc
     return loads(text, str(path))

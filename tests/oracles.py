@@ -1,8 +1,11 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately naive: exhaustive enumeration, fraction
-free determinants, closure of generating sets.  None of it shares code
-with the lattice machinery it is checking.
+free determinants, closure of generating sets.  The brute-force oracles
+share no code with the lattice machinery they check.  reference_snf and
+reference_exact_at are frozen earlier algorithms instead, which faster
+code must agree with; reference_exact_at relies on kernel and in_image,
+which the enumeration oracles check.
 """
 
 from __future__ import annotations
@@ -11,7 +14,15 @@ import math
 import random
 from typing import Sequence
 
-from nielsencalc.fgab import FgAbGroup, GroupElement, Homomorphism, Subgroup
+from nielsencalc.fgab import (
+    FgAbGroup,
+    GroupElement,
+    Homomorphism,
+    Subgroup,
+    compose,
+    in_image,
+    kernel,
+)
 
 
 def det(matrix) -> int:
@@ -227,3 +238,15 @@ def reference_snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int):
         if a[i][i] != 0:
             rank += 1
     return u, a, v, rank
+
+
+def reference_exact_at(left: Homomorphism, right: Homomorphism) -> bool:
+    """Is im(left) = ker(right)?  The membership criterion that
+    nielsencalc.fgab.exact_at replaced by a comparison of invariant
+    factors: im(left) <= ker(right) by a zero composite, then every
+    kernel generator of right must lie in the image of left."""
+    if left.target != right.source:
+        raise ValueError("shape mismatch: left.target must equal right.source")
+    if not compose(right, left).is_zero_map():
+        return False
+    return all(in_image(left, k)[0] for k in kernel(right).generators)

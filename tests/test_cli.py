@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import nielsencalc
 from nielsencalc import homotopy_db
 from nielsencalc.cli import main
@@ -187,6 +189,17 @@ def test_missing_db_file_is_database_failure(capsys):
                        "--db", "/nonexistent/none.nielsendb")
     assert code == 4
     assert "database rejected" in err
+
+
+@pytest.mark.parametrize("command", ["db-validate", "db-show"])
+def test_non_utf8_db_file_is_an_io_violation(tmp_path, capsys, command):
+    path = tmp_path / "bad.nielsendb"
+    path.write_bytes(b"nielsendb v1\n\xff\xfe group\n")
+    code, out, err = run(capsys, command, "--db", str(path))
+    assert code == 4
+    assert out == ""
+    assert err.startswith(f"[io] {path}: 'utf-8' codec can't decode")
+    assert err.endswith(f"database rejected: {path}\n")
 
 
 # ---------------------------------------------------------------------------

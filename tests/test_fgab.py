@@ -18,6 +18,7 @@ from nielsencalc.fgab import (
     smith_normal_form,
     zero_hom,
 )
+from nielsencalc.fgab import _image_contains
 
 from oracles import (
     all_finite_groups,
@@ -28,6 +29,7 @@ from oracles import (
     is_diagonal,
     mat_mul,
     random_well_defined_hom,
+    reference_exact_at,
     span_closure,
 )
 
@@ -412,7 +414,7 @@ def test_kernel_order_bookkeeping():
 
 
 def test_transforms_added_to_the_cache_on_demand():
-    # kernel caches V alone and exact_at caches U alone for its left map;
+    # kernel caches V alone and the membership-only test caches U alone;
     # a later query that needs the other transform recomputes with both,
     # and must answer exactly as a map queried fresh
     rng = random.Random(77)
@@ -424,11 +426,60 @@ def test_transforms_added_to_the_cache_on_demand():
                              for x in src.generators()]
         fresh = [in_image(Homomorphism(src, tgt, matrix), y) for y in ys]
         by_kernel = Homomorphism(src, tgt, matrix)
-        by_exact = Homomorphism(src, tgt, matrix)
+        by_membership = Homomorphism(src, tgt, matrix)
         kernel_gens = kernel(by_kernel).generators
-        exact_at(by_exact, zero_hom(tgt, TRIVIAL))
-        for h in (by_kernel, by_exact):
+        assert ([_image_contains(by_membership, y) for y in ys]
+                == [found for found, _ in fresh])
+        assert by_membership._snf_cache[2] is None
+        for h in (by_kernel, by_membership):
             assert [in_image(h, y) for y in ys] == fresh
             assert kernel(h).generators == kernel_gens
             u, _, v, *_ = h._snf_cache
             assert u is not None and v is not None
+
+
+# ---------------------------------------------------------------------------
+# exact_at compares invariant factors; the membership criterion it
+# replaced is the oracle
+
+_MIXED_GROUPS = all_finite_groups(24, 2) + [
+    Z, FgAbGroup(2, ()), FgAbGroup(1, (2,)), FgAbGroup(1, (2, 4)),
+    FgAbGroup(2, (3,)), FgAbGroup(3, ())]
+
+
+def _fresh(h):
+    return Homomorphism(h.source, h.target, h.matrix)
+
+
+def _left_maps(rng, right, source):
+    """Maps into right.source: onto ker(right), into it with one kernel
+    generator dropped or doubled, with an extra generator, and random."""
+    middle = right.source
+    gens = [g.coords for g in kernel(right).generators]
+
+    def assembled(columns):
+        free = FgAbGroup(len(columns), ())
+        return Homomorphism(free, middle, [[c[i] for c in columns]
+                                           for i in range(middle.dim)])
+    yield assembled(gens)
+    if gens:
+        k = rng.randrange(len(gens))
+        yield assembled(gens[:k] + gens[k + 1:])
+        yield assembled([[2 * x for x in c] if i == k else c
+                         for i, c in enumerate(gens)])
+    yield assembled(gens + [[rng.randint(-3, 3) for _ in range(middle.dim)]])
+    yield random_well_defined_hom(rng, source, middle)
+
+
+def test_exact_at_matches_membership_reference():
+    rng = random.Random(5150)
+    outcomes = set()
+    for _ in range(400):
+        a, b, c = (rng.choice(_MIXED_GROUPS) for _ in range(3))
+        right = random_well_defined_hom(rng, b, c)
+        for left in _left_maps(rng, right, a):
+            expected = reference_exact_at(_fresh(left), _fresh(right))
+            assert exact_at(left, right) == expected
+            outcomes.add((expected, compose(right, left).is_zero_map()))
+    # exact pairs, pairs with im < ker, and pairs with a nonzero composite
+    assert outcomes == {(True, True), (False, True), (False, False)}

@@ -5,8 +5,8 @@ from types import MappingProxyType
 
 import pytest
 
-from nielsencalc import homotopy_db as hdb
-from nielsencalc.fgab import FgAbGroup, is_injective
+from nielsencalc import fgab, homotopy_db as hdb
+from nielsencalc.fgab import FgAbGroup, Homomorphism, exact_at, is_injective
 from nielsencalc.homotopy_db import (
     DatabaseError,
     InsufficientDataError,
@@ -18,7 +18,7 @@ from nielsencalc.homotopy_db import (
     validate,
 )
 
-from oracles import mat_mul
+from oracles import mat_mul, reference_exact_at
 
 S = SpaceId.sphere
 V = SpaceId.stiefel
@@ -444,3 +444,52 @@ def test_rank12_injective_antipodal_that_is_not_onto_rejected():
     _, violations = hdb.check(_slice_text(boundary, fiber, antipodal))
     assert [(v.kind, v.subject) for v in violations] == [
         ("not_automorphism", "antipodal_A:S(9),30->S(9),30")]
+
+
+@pytest.mark.parametrize("seed", range(12, 18))
+def test_rank12_exactness_matches_membership_reference(seed):
+    boundary, fiber, _ = _rank12_slice(seed)
+    z12, v = FgAbGroup(12, ()), FgAbGroup(2, (2, 2, 2, 6))
+    for matrix, exact in [
+            (boundary, True),
+            (_change_one_entry(boundary, fiber), False),
+            ([[2 * x for x in row] for row in boundary], False)]:
+        # each criterion gets maps with empty SNF caches
+        for criterion in (exact_at, reference_exact_at):
+            assert criterion(Homomorphism(z12, z12, matrix),
+                             Homomorphism(z12, v, fiber)) is exact
+
+
+def _record_augmented_snfs(monkeypatch):
+    """(homomorphism, want_u) for each SNF that Homomorphism._augmented
+    computes while the patch is in place."""
+    computed, asking = [], []
+    real_snf, real_augmented = fgab._snf, Homomorphism._augmented
+
+    def snf(matrix, nrows, ncols, want_u, want_v):
+        if asking:
+            computed.append((asking[-1], want_u))
+        return real_snf(matrix, nrows, ncols, want_u, want_v)
+
+    def augmented(self, want_u, want_v):
+        asking.append(self)
+        try:
+            return real_augmented(self, want_u, want_v)
+        finally:
+            asking.pop()
+
+    monkeypatch.setattr(fgab, "_snf", snf)
+    monkeypatch.setattr(Homomorphism, "_augmented", augmented)
+    return computed
+
+
+@pytest.mark.parametrize("source", ["default", "rank12"])
+def test_load_computes_each_augmented_snf_once_without_u(monkeypatch, source):
+    computed = _record_augmented_snfs(monkeypatch)
+    db = (load_default() if source == "default"
+          else loads(_slice_text(*_rank12_slice())))
+    assert computed
+    homs = [h for h, _ in computed]
+    assert len({id(h) for h in homs}) == len(homs)
+    assert all(any(h is e.hom for e in db.homs) for h in homs)
+    assert not any(want_u for _, want_u in computed)

@@ -1,9 +1,10 @@
 """The Smith normal form against a frozen reference and against sympy.
 
 fgab._snf restricts each step to the active block and builds only the
-transforms its caller asks for.  It must still return exactly what the
-straightforward elimination in oracles.reference_snf returns, so that
-kernel generators and in_image witnesses stay the same.
+transforms its caller asks for, and returns V as the list of its
+columns.  It must still return exactly what the straightforward
+elimination in oracles.reference_snf returns, so that kernel generators
+and in_image witnesses stay the same.
 """
 
 import random
@@ -54,7 +55,8 @@ def _assert_matches_reference(m, nrows, ncols):
         u, d, v, rank = _snf(m, nrows, ncols, want_u, want_v)
         assert (d, rank) == (ref_d, ref_rank)
         assert u == (ref_u if want_u else None)
-        assert v == (ref_v if want_v else None)
+        # _snf returns the columns of V
+        assert v == ([list(col) for col in zip(*ref_v)] if want_v else None)
 
 
 @pytest.mark.parametrize("nrows", range(11))
