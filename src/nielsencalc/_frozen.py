@@ -1,0 +1,60 @@
+"""Immutable value classes without dataclasses.
+
+A subclass lists its fields in __slots__ in constructor order (a slot
+named with a leading '_' is private state), with defaults and the fields
+that == and hash ignore as class keywords.  Frozen gives it a
+constructor taking fields by position or keyword, == and hash over _key
+(the tuple of compared fields), a dataclass-style repr, replace() and
+pickling, and refuses assignment and deletion, compiling nothing per
+class.  A class built on every query writes __init__ out, setting each
+field once with setfield, and stores _key in a slot of its own; for the
+others _key is computed when == or hash asks for it.
+"""
+
+from operator import attrgetter
+
+setfield = object.__setattr__
+
+
+class Frozen:
+    __slots__ = ()
+
+    def __init_subclass__(cls, defaults=None, uncompared=()):
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        cls._defaults = defaults or {}
+        cls._compared = tuple(n for n in cls._fields if n not in uncompared)
+        if "_key" not in cls.__slots__:
+            cls._key = property(attrgetter(*cls._compared))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if (len(args) > len(fields) or values.keys() != set(fields)
+                or not kwargs.keys().isdisjoint(fields[:len(args)])):
+            raise TypeError(f"{type(self).__name__}() takes {fields}, each once")
+        for field in fields:
+            setfield(self, field, values[field])
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(" + ", ".join(
+            f"{n}={getattr(self, n)!r}" for n in self._fields) + ")")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def replace(self, **changes):
+        """A copy with the given fields changed."""
+        return type(self)(**{n: getattr(self, n) for n in self._fields} | changes)

@@ -19,9 +19,10 @@ database for one (K, m, n') comes from a single ProjectiveSlice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Optional, Union
 
+from ._frozen import Frozen, setfield
 from .fgab import FgAbGroup, GroupElement, _image_contains
 from .homotopy_db import FIELD_DIMS, Database, HomEntry, SpaceId
 
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 
+@total_ordering
 class Infinity:
     """Exact stand-in for an infinite minimum coincidence number.
 
@@ -65,25 +67,10 @@ class Infinity:
     def __hash__(self):
         return hash("Infinity")
 
-    def __gt__(self, other):
-        if not isinstance(other, (int, Infinity)):
-            return NotImplemented
-        return not isinstance(other, Infinity)
-
-    def __ge__(self, other):
-        if not isinstance(other, (int, Infinity)):
-            return NotImplemented
-        return True
-
     def __lt__(self, other):
         if not isinstance(other, (int, Infinity)):
             return NotImplemented
         return False
-
-    def __le__(self, other):
-        if not isinstance(other, (int, Infinity)):
-            return NotImplemented
-        return isinstance(other, Infinity)
 
 
 INF = Infinity()
@@ -120,8 +107,7 @@ _CASE_TRIPLES: dict[int, tuple[Count, Count, Count]] = {
 }
 
 
-@dataclass(frozen=True)
-class ProjectiveClass:
+class ProjectiveClass(Frozen):
     """A homotopy class in pi_m(KP(n')), split as lift plus residue.
 
     The lift lives in pi_m(S^{d n' + d - 1}); the residue is the
@@ -129,24 +115,35 @@ class ProjectiveClass:
     trivial group for K = R, and for K = C once m > 2).
     """
 
-    K: str
-    m: int
-    nprime: int
-    lift: GroupElement
-    residue: Optional[GroupElement] = None
+    __slots__ = ("K", "m", "nprime", "lift", "residue")
 
-    def __post_init__(self):
-        if self.K not in FIELD_DIMS:
-            raise ClassificationError(f"K must be R, C or H, got {self.K!r}")
-        if self.m < 1 or self.nprime < 1:
+    def __init__(self, K: str, m: int, nprime: int, lift: GroupElement,
+                 residue: Optional[GroupElement] = None):
+        if K not in FIELD_DIMS:
+            raise ClassificationError(f"K must be R, C or H, got {K!r}")
+        if m < 1 or nprime < 1:
             raise ClassificationError("m and n' must be >= 1")
-        if self.K == "R" and self.residue is not None and not self.residue.is_zero:
+        if K == "R" and residue is not None and not residue.is_zero:
             raise ClassificationError(
                 "for K = R the residue group is trivial; drop the residue")
+        setfield(self, "K", K)
+        setfield(self, "m", m)
+        setfield(self, "nprime", nprime)
+        setfield(self, "lift", lift)
+        setfield(self, "residue", residue)
+
+    # == and hash without a stored _key, to keep instances small
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.K, self.m, self.nprime, self.lift, self.residue) == (
+            other.K, other.m, other.nprime, other.lift, other.residue)
+
+    def __hash__(self):
+        return hash((self.K, self.m, self.nprime, self.lift, self.residue))
 
 
-@dataclass(frozen=True)
-class ProjectiveSlice:
+class ProjectiveSlice(Frozen):
     """The database data for maps S^m -> KP(n'), with n = d n'.
 
     The lift group is pi_m(S^{n+d-1}); boundary is ∂_K into
@@ -155,14 +152,23 @@ class ProjectiveSlice:
     not resolved).
     """
 
-    K: str
-    m: int
-    nprime: int
-    lift_key: tuple[SpaceId, int]
-    lift_group: FgAbGroup
-    boundary: HomEntry
-    suspension: HomEntry
-    antipodal: Optional[HomEntry]
+    __slots__ = ("K", "m", "nprime", "lift_key", "lift_group", "boundary",
+                 "suspension", "antipodal", "_key")
+
+    def __init__(self, K: str, m: int, nprime: int,
+                 lift_key: tuple[SpaceId, int], lift_group: FgAbGroup,
+                 boundary: HomEntry, suspension: HomEntry,
+                 antipodal: Optional[HomEntry]):
+        setfield(self, "K", K)
+        setfield(self, "m", m)
+        setfield(self, "nprime", nprime)
+        setfield(self, "lift_key", lift_key)
+        setfield(self, "lift_group", lift_group)
+        setfield(self, "boundary", boundary)
+        setfield(self, "suspension", suspension)
+        setfield(self, "antipodal", antipodal)
+        setfield(self, "_key", (K, m, nprime, lift_key, lift_group, boundary,
+                                suspension, antipodal))
 
     @classmethod
     def resolve(cls, db: Database, K: str, m: int, nprime: int,
@@ -172,65 +178,81 @@ class ProjectiveSlice:
         """Look the slice up and check that the lifts and residues live in
         their groups.  The residue group pi_{m-1}(S^{d-1}) is read only
         when a residue is given, and A only when with_antipodal is set
-        (a self-pair has no two lifts to compare)."""
-        if K not in FIELD_DIMS:
-            raise ClassificationError(f"K must be R, C or H, got {K!r}")
-        if m < 2 or nprime < 2:
-            raise ClassificationError("the classification needs m >= 2 and n' >= 2")
-        d = FIELD_DIMS[K]
-        n = d * nprime
-        lift_key = (SpaceId.lift_sphere(K, nprime), m)
-        lift_group = db.require_group(*lift_key)
-        if any(lift.parent != lift_group for lift in lifts):
+        (a self-pair has no two lifts to compare).  The slice is memoised
+        on the database by (K, m, n', with_antipodal); a failed lookup is
+        not, and the lifts and residues are checked on every call."""
+        key = (K, m, nprime, with_antipodal)
+        s = db._slices.get(key)
+        if s is None:
+            if K not in FIELD_DIMS:
+                raise ClassificationError(f"K must be R, C or H, got {K!r}")
+            if m < 2 or nprime < 2:
+                raise ClassificationError(
+                    "the classification needs m >= 2 and n' >= 2")
+            n = FIELD_DIMS[K] * nprime
+            lift_key = (SpaceId.lift_sphere(K, nprime), m)
+            lift_group = db.require_group(*lift_key)
+            low, high = (SpaceId.sphere(n - 1), m - 1), (SpaceId.sphere(n), m)
+            boundary = db.require_hom_entry("boundary_K", lift_key, low)
+            suspension = db.require_hom_entry("suspension_E", low, high)
+            antipodal = (db.require_hom_entry("antipodal_A", lift_key, lift_key)
+                         if K == "R" and with_antipodal else None)
+            # setdefault: concurrent first calls all return one slice
+            s = db._slices.setdefault(key, cls(
+                K, m, nprime, lift_key, lift_group, boundary, suspension,
+                antipodal))
+        if any(lift.parent != s.lift_group for lift in lifts):
             raise ClassificationError(
-                f"lift must live in pi_{m}({lift_key[0]}) = {lift_group}")
-        low, high = (SpaceId.sphere(n - 1), m - 1), (SpaceId.sphere(n), m)
-        boundary = db.require_hom_entry("boundary_K", lift_key, low)
-        suspension = db.require_hom_entry("suspension_E", low, high)
-        antipodal = (db.require_hom_entry("antipodal_A", lift_key, lift_key)
-                     if K == "R" and with_antipodal else None)
-        for residue in residues:
+                f"lift must live in pi_{m}({s.lift_key[0]}) = {s.lift_group}")
+        if residues:
+            d = FIELD_DIMS[K]
             residue_group = db.require_group(SpaceId.sphere(d - 1), m - 1)
-            if residue.parent != residue_group:
+            if any(residue.parent != residue_group for residue in residues):
                 raise ClassificationError(
                     f"residue must live in pi_{m - 1}(S({d - 1})) = {residue_group}")
-        return cls(K, m, nprime, lift_key, lift_group, boundary, suspension,
-                   antipodal)
+        return s
 
 
-@dataclass(frozen=True)
-class CoincidenceAnswer:
+class CoincidenceAnswer(Frozen):
     """(case, N#, MCC, MC) plus looseness flags where determinable.
 
     None marks a genuinely undetermined value (the space-form cases can
     leave fields open); INF is the exact answer infinity.
     """
 
-    case_id: Union[int, str]
-    condition: str
-    nielsen: Optional[int]
-    mcc: Optional[int]
-    mc: Optional[Count]
-    omega_sharp_zero: Optional[bool] = None
-    loose: Optional[bool] = None
-    loose_small: Optional[bool] = None
-    notes: tuple[str, ...] = ()
+    __slots__ = ("case_id", "condition", "nielsen", "mcc", "mc",
+                 "omega_sharp_zero", "loose", "notes", "_key")
 
-    def __post_init__(self):
-        if self.nielsen is not None and self.mcc is not None:
-            if not self.nielsen <= self.mcc:
-                raise ClassificationError("invariant violated: N# <= MCC")
-        if self.mcc is not None and self.mc is not None:
-            if not self.mcc <= self.mc:
-                raise ClassificationError("invariant violated: MCC <= MC")
+    def __init__(self, case_id: Union[int, str], condition: str,
+                 nielsen: Optional[int], mcc: Optional[int], mc: Optional[Count],
+                 omega_sharp_zero: Optional[bool] = None,
+                 loose: Optional[bool] = None, notes: tuple[str, ...] = ()):
+        if None not in (nielsen, mcc) and not nielsen <= mcc:
+            raise ClassificationError("invariant violated: N# <= MCC")
+        if None not in (mcc, mc) and not mcc <= mc:
+            raise ClassificationError("invariant violated: MCC <= MC")
+        setfield(self, "case_id", case_id)
+        setfield(self, "condition", condition)
+        setfield(self, "nielsen", nielsen)
+        setfield(self, "mcc", mcc)
+        setfield(self, "mc", mc)
+        setfield(self, "omega_sharp_zero", omega_sharp_zero)
+        setfield(self, "loose", loose)
+        setfield(self, "notes", notes)
+        setfield(self, "_key", (case_id, condition, nielsen, mcc, mc,
+                                omega_sharp_zero, loose, notes))
 
     @property
     def triple(self):
         return (self.nielsen, self.mcc, self.mc)
 
+    @property
+    def loose_small(self) -> Optional[bool]:
+        """Loose by small deformation: loose for the projective cases."""
+        return self.loose if isinstance(self.case_id, int) else None
 
-@dataclass(frozen=True)
-class SpaceFormQuery:
+
+class SpaceFormQuery(Frozen, defaults={"domain_case": "sphere"}):
     """Inputs for the spherical space form S^n/G setting.
 
     domain_case records which hypothesis the caller asserts: a sphere
@@ -238,12 +260,10 @@ class SpaceFormQuery:
     m < 2n - 2.
     """
 
-    group_order: int
-    n: int
-    homotopic: bool
-    domain_case: str = "sphere"
+    __slots__ = ("group_order", "n", "homotopic", "domain_case")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if not isinstance(self.group_order, int) or self.group_order < 2:
             raise ClassificationError("group order must be a finite integer >= 2")
         if self.n < 1:
@@ -308,8 +328,8 @@ def classify_projective(db: Database, f1: ProjectiveClass,
     conditions = table_conditions(db, f1, f2)
     fired = [i + 1 for i, holds in enumerate(conditions) if holds]
     if len(fired) != 1:
-        # resolved again only to name the entries in the message
-        s = ProjectiveSlice.resolve(db, f1.K, f1.m, f1.nprime, ())
+        # table_conditions resolved and memoised the slice
+        s = db._slices[(f1.K, f1.m, f1.nprime, True)]
         refs = ", ".join(e.ref() for e in (s.boundary, s.suspension, s.antipodal)
                          if e is not None)
         what = (f"conditions {fired} fired" if fired
@@ -319,19 +339,11 @@ def classify_projective(db: Database, f1: ProjectiveClass,
             f"{f1.lift.coords}/{f2.lift.coords}); the entries {refs} "
             f"contradict the seven-case table")
     case = fired[0]
-    nielsen, mcc, mc = _CASE_TRIPLES[case]
     residue = any(f.residue is not None and not f.residue.is_zero for f in (f1, f2))
     return CoincidenceAnswer(
-        case_id=case,
-        condition=CASE_CONDITIONS[case],
-        nielsen=nielsen,
-        mcc=mcc,
-        mc=mc,
-        omega_sharp_zero=case in (1, 2),
-        loose=case == 1,
-        loose_small=case == 1,
-        notes=("residue present, numbers unaffected",) if residue else (),
-    )
+        case, CASE_CONDITIONS[case], *_CASE_TRIPLES[case],
+        omega_sharp_zero=case in (1, 2), loose=case == 1,
+        notes=("residue present, numbers unaffected",) if residue else ())
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +381,14 @@ def classify_sphere_target(db: Database, m: int, n: int,
             case_id="sphere-loose",
             condition="f_1 ~ A∘f_2",
             nielsen=0, mcc=0, mc=0,
-            omega_sharp_zero=True, loose=True, loose_small=None)
+            omega_sharp_zero=True, loose=True)
     if m == 1 and n == 1:
         count = abs(class1.coords[0] - class2.coords[0])
         return CoincidenceAnswer(
             case_id="circle",
             condition="f_1 !~ A∘f_2 on the circle: |deg f_1 - deg f_2| points",
             nielsen=count, mcc=count, mc=count,
-            omega_sharp_zero=count == 0, loose=count == 0, loose_small=None)
+            omega_sharp_zero=count == 0, loose=count == 0)
     if n == 1:
         # pi_m(S^1) = 0 for m >= 2: every pair is antipodally related, so
         # an asserted 'not related' contradicts the inputs
@@ -389,7 +401,7 @@ def classify_sphere_target(db: Database, m: int, n: int,
         case_id="sphere-essential",
         condition="f_1 !~ A∘f_2: one Reidemeister class, strongly essential",
         nielsen=1, mcc=1, mc=1,
-        omega_sharp_zero=False, loose=False, loose_small=None)
+        omega_sharp_zero=False, loose=False)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ the classification.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -35,7 +34,6 @@ from .homotopy_db import (
     DatabaseError,
     InsufficientDataError,
     SpaceId,
-    Violation,
 )
 from .selfcoincidence import LoosenessVerdict, self_verdict
 
@@ -49,12 +47,12 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # rendering
 
+def _json_count(x):
+    return "inf" if x == INF else x
+
+
 def _fmt_count(x) -> str:
-    if x is None:
-        return "unknown"
-    if x == INF:
-        return "inf"
-    return str(x)
+    return "unknown" if x is None else str(_json_count(x))
 
 
 def _fmt_flag(x: Optional[bool]) -> str:
@@ -63,40 +61,38 @@ def _fmt_flag(x: Optional[bool]) -> str:
     return "yes" if x else "no"
 
 
-def _json_count(x):
-    if x is None:
-        return None
-    if x == INF:
-        return "inf"
-    return x
-
-
 def render(answer, mode: str, db_version: str = "") -> str:
     """Render a coincidence answer or a looseness verdict."""
     if isinstance(answer, CoincidenceAnswer):
-        return _render_answer(answer, mode, db_version)
-    if isinstance(answer, LoosenessVerdict):
-        return _render_verdict(answer, mode, db_version)
-    raise TypeError(f"cannot render {type(answer).__name__}")
-
-
-def _render_answer(ans: CoincidenceAnswer, mode: str, db_version: str) -> str:
+        doc, text = _answer_doc, _answer_text
+    elif isinstance(answer, LoosenessVerdict):
+        doc, text = _verdict_doc, _verdict_text
+    else:
+        raise TypeError(f"cannot render {type(answer).__name__}")
     if mode == "machine":
-        doc = {
-            "case_id": ans.case_id,
-            "condition": ans.condition,
-            "nielsen": _json_count(ans.nielsen),
-            "mcc": _json_count(ans.mcc),
-            "mc": _json_count(ans.mc),
-            "flags": {
-                "omega_sharp_zero": ans.omega_sharp_zero,
-                "loose": ans.loose,
-                "loose_small": ans.loose_small,
-            },
-            "notes": list(ans.notes),
-            "db_version": db_version,
-        }
-        return json.dumps(doc, sort_keys=True)
+        import json     # here, so that text-mode calls do not load it
+        return json.dumps({**doc(answer), "db_version": db_version},
+                          sort_keys=True)
+    return text(answer)
+
+
+def _answer_doc(ans: CoincidenceAnswer) -> dict:
+    return {
+        "case_id": ans.case_id,
+        "condition": ans.condition,
+        "nielsen": _json_count(ans.nielsen),
+        "mcc": _json_count(ans.mcc),
+        "mc": _json_count(ans.mc),
+        "flags": {
+            "omega_sharp_zero": ans.omega_sharp_zero,
+            "loose": ans.loose,
+            "loose_small": ans.loose_small,
+        },
+        "notes": list(ans.notes),
+    }
+
+
+def _answer_text(ans: CoincidenceAnswer) -> str:
     row = " ".join(_fmt_count(x) for x in (ans.nielsen, ans.mcc, ans.mc))
     lines = [f"case {ans.case_id}: {ans.condition} | {row}",
              f"N#={_fmt_count(ans.nielsen)} MCC={_fmt_count(ans.mcc)} "
@@ -108,21 +104,13 @@ def _render_answer(ans: CoincidenceAnswer, mode: str, db_version: str) -> str:
     return "\n".join(lines)
 
 
-def _render_verdict(v: LoosenessVerdict, mode: str, db_version: str) -> str:
-    if mode == "machine":
-        doc = {
-            "K": v.K,
-            "m": v.m,
-            "nprime": v.nprime,
-            "small_deformation": v.small_deformation,
-            "loose": v.loose,
-            "coincidence_producing": v.coincidence_producing,
-            "omega_sharp_zero": v.omega_sharp_zero,
-            "lifted_pair_loose": v.lifted_pair_loose,
-            "gap_witness": v.gap_witness,
-            "db_version": db_version,
-        }
-        return json.dumps(doc, sort_keys=True)
+def _verdict_doc(v: LoosenessVerdict) -> dict:
+    return {key: getattr(v, key) for key in (
+        "K", "m", "nprime", "small_deformation", "loose", "coincidence_producing",
+        "omega_sharp_zero", "lifted_pair_loose", "gap_witness")}
+
+
+def _verdict_text(v: LoosenessVerdict) -> str:
     if v.loose:
         pair_line = "(f,f): loose by small deformation"
     else:
@@ -246,20 +234,9 @@ def _cmd_spaceform(args) -> int:
 
 def _cmd_db_validate(args) -> int:
     path = args.db or os.environ.get("NIELSEN_DB")
-    if path:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            print(f"database error: {exc}", file=sys.stderr)
-            return 4
-        except UnicodeDecodeError as exc:
-            raise DatabaseError([Violation("io", str(path), str(exc))],
-                                str(path)) from exc
-        origin = str(path)
-    else:
-        text = homotopy_db.default_db_text()
-        origin = "<default>"
+    origin = str(path) if path else "<default>"
+    text = (homotopy_db.read_db_text(path) if path
+            else homotopy_db.default_db_text())
     db, violations = homotopy_db.check(text, origin)
     if violations:
         for v in violations:

@@ -27,6 +27,8 @@ from itertools import product
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
+from ._frozen import Frozen, setfield
+
 __all__ = [
     "FgAbGroup",
     "GroupElement",
@@ -200,7 +202,7 @@ def _snf_coords(u, d, rank, b: Sequence[int]) -> Optional[list[int]]:
 # ---------------------------------------------------------------------------
 # groups and elements
 
-class FgAbGroup:
+class FgAbGroup(Frozen):
     """A finitely generated abelian group in invariant-factor form.
 
     >>> G = FgAbGroup(1, (2, 4))
@@ -210,7 +212,7 @@ class FgAbGroup:
     3
     """
 
-    __slots__ = ("free_rank", "torsion")
+    __slots__ = ("free_rank", "torsion", "_key")
 
     def __init__(self, free_rank: int = 0, torsion: Iterable[int] = ()):
         torsion = tuple(torsion)
@@ -224,11 +226,9 @@ class FgAbGroup:
                 raise ValueError(
                     f"invariant factors must form a divisibility chain, "
                     f"got {a} before {b}")
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FgAbGroup is immutable")
+        setfield(self, "free_rank", free_rank)
+        setfield(self, "torsion", torsion)
+        setfield(self, "_key", (free_rank, torsion))
 
     @classmethod
     def from_presentation(cls, num_generators: int,
@@ -280,14 +280,6 @@ class FgAbGroup:
         for coords in product(*(range(d) for d in self.torsion)):
             yield GroupElement(self, coords)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FgAbGroup):
-            return NotImplemented
-        return self.free_rank == other.free_rank and self.torsion == other.torsion
-
-    def __hash__(self):
-        return hash((self.free_rank, self.torsion))
-
     def __str__(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z_{d}" for d in self.torsion]
         return " x ".join(parts) if parts else "0"
@@ -296,7 +288,7 @@ class FgAbGroup:
         return f"FgAbGroup({self.free_rank}, {self.torsion!r})"
 
 
-class GroupElement:
+class GroupElement(Frozen):
     """A group element as a canonical coordinate vector.
 
     Torsion coordinates are stored reduced modulo their invariant factor,
@@ -316,11 +308,8 @@ class GroupElement:
         fr = parent.free_rank
         canon = coords[:fr] + tuple(
             c % d for c, d in zip(coords[fr:], parent.torsion))
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "coords", canon)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupElement is immutable")
+        setfield(self, "parent", parent)
+        setfield(self, "coords", canon)
 
     @property
     def is_zero(self) -> bool:
@@ -350,6 +339,7 @@ class GroupElement:
 
     __rmul__ = __mul__
 
+    # == and hash without a stored _key, to keep instances small
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):
             return NotImplemented
@@ -376,7 +366,7 @@ def _relation_columns(group: FgAbGroup) -> list[list[int]]:
     return cols
 
 
-class Homomorphism:
+class Homomorphism(Frozen):
     """An integer matrix between two canonical presentations.
 
     Column j holds the target coordinates of the image of source
@@ -384,7 +374,7 @@ class Homomorphism:
     torsion generator of order d must map to an element killed by d.
     """
 
-    __slots__ = ("source", "target", "matrix", "_snf_cache")
+    __slots__ = ("source", "target", "matrix", "_snf_cache", "_key")
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup,
                  matrix: Sequence[Sequence[int]]):
@@ -404,10 +394,11 @@ class Homomorphism:
         canon = tuple(
             r if i < tf else tuple(x % target.torsion[i - tf] for x in r)
             for i, r in enumerate(rows))
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", canon)
-        object.__setattr__(self, "_snf_cache", None)
+        setfield(self, "source", source)
+        setfield(self, "target", target)
+        setfield(self, "matrix", canon)
+        setfield(self, "_snf_cache", None)
+        setfield(self, "_key", (source, target, canon))
         sf = source.free_rank
         for j in range(source.dim):
             if j < sf:
@@ -419,9 +410,6 @@ class Homomorphism:
                 raise ValueError(
                     f"ill-defined homomorphism: {d} * image of generator {j} "
                     f"is nonzero in {target}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Homomorphism is immutable")
 
     def __call__(self, x: GroupElement) -> GroupElement:
         if not isinstance(x, GroupElement) or x.parent != self.source:
@@ -452,17 +440,8 @@ class Homomorphism:
                for i in range(nrows)]
         u, d, v, rank = _snf(aug, nrows, ncols, want_u, want_v)
         cached = (u, d, v, rank, nrows, ncols)
-        object.__setattr__(self, "_snf_cache", cached)
+        setfield(self, "_snf_cache", cached)
         return cached
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Homomorphism):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.matrix == other.matrix)
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
 
     def __repr__(self) -> str:
         return f"Homomorphism({self.source} -> {self.target}, {self.matrix!r})"
@@ -491,21 +470,21 @@ def compose(g: Homomorphism, h: Homomorphism) -> Homomorphism:
 # ---------------------------------------------------------------------------
 # subgroups, kernels, images
 
-class Subgroup:
-    """A subgroup given by a list of generating elements of the ambient group."""
+class Subgroup(Frozen):
+    """A subgroup given by a list of generating elements of the ambient group.
+
+    Two generating lists can give one subgroup, so == is identity."""
 
     __slots__ = ("ambient", "generators")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, ambient: FgAbGroup, generators: Iterable[GroupElement]):
         gens = tuple(generators)
         for g in gens:
             if g.parent != ambient:
                 raise ValueError("parent mismatch: generator not in ambient group")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "generators", gens)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subgroup is immutable")
+        setfield(self, "ambient", ambient)
+        setfield(self, "generators", gens)
 
     def contains(self, y: GroupElement) -> bool:
         return in_subgroup(self, y)

@@ -23,11 +23,11 @@ exact-arithmetic layer.  A Database cannot be changed once built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from importlib import resources
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Optional
 
+from ._frozen import Frozen, setfield
 from .fgab import FgAbGroup, Homomorphism, exact_at, is_surjective
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "load",
     "loads",
     "load_default",
+    "read_db_text",
     "validate",
     "serialize",
     "default_db_text",
@@ -73,25 +74,29 @@ class DatabaseError(Exception):
         super().__init__(prefix + "; ".join(lines))
 
 
-@dataclass(frozen=True)
-class SpaceId:
-    """A sphere S(n), Stiefel manifold V(K,n') or projective space P(K,n')."""
+class SpaceId(Frozen):
+    """A sphere S(n), Stiefel manifold V(K,n') or projective space P(K,n').
 
-    kind: str           # "S", "V" or "P"
-    K: Optional[str]    # "R", "C", "H"; None for spheres
-    index: int          # n for spheres, n' otherwise
+    kind is "S", "V" or "P"; K is "R", "C" or "H", and None for spheres;
+    index is n for spheres and n' otherwise.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ("S", "V", "P"):
-            raise ValueError(f"unknown space kind {self.kind!r}")
-        if self.kind == "S":
-            if self.K is not None:
+    __slots__ = ("kind", "K", "index", "_key")
+
+    def __init__(self, kind: str, K: Optional[str], index: int):
+        if kind == "S":
+            if K is not None:
                 raise ValueError("spheres carry no coefficient field")
-        else:
-            if self.K not in FIELD_DIMS:
-                raise ValueError(f"coefficient field must be R, C or H, got {self.K!r}")
-        if self.index < 1:
+        elif kind not in ("V", "P"):
+            raise ValueError(f"unknown space kind {kind!r}")
+        elif K not in FIELD_DIMS:
+            raise ValueError(f"coefficient field must be R, C or H, got {K!r}")
+        if index < 1:
             raise ValueError("space index must be >= 1")
+        setfield(self, "kind", kind)
+        setfield(self, "K", K)
+        setfield(self, "index", index)
+        setfield(self, "_key", (kind, K, index))
 
     @classmethod
     def sphere(cls, n: int) -> "SpaceId":
@@ -121,31 +126,14 @@ class SpaceId:
             return cls(m.group(1), m.group(2), int(m.group(3)))
         raise ValueError(f"cannot parse space {text!r}")
 
-    @property
-    def real_dim(self) -> int:
-        """Real dimension of the space."""
-        if self.kind == "S":
-            return self.index
-        d = FIELD_DIMS[self.K]
-        if self.kind == "P":
-            return d * self.index
-        # V(K,n') fibers over S(d*n'+d-1) with fiber S(d*n'-1)
-        return 2 * d * self.index + d - 2
-
     def __str__(self) -> str:
         if self.kind == "S":
             return f"S({self.index})"
         return f"{self.kind}({self.K},{self.index})"
 
 
-@dataclass(frozen=True)
-class GroupEntry:
-    space: SpaceId
-    m: int
-    group: FgAbGroup
-    labels: tuple[str, ...]
-    provenance: str
-    line: int = field(default=0, compare=False)
+class GroupEntry(Frozen, defaults={"line": 0}, uncompared=("line",)):
+    __slots__ = ("space", "m", "group", "labels", "provenance", "line")
 
     @property
     def key(self):
@@ -155,19 +143,14 @@ class GroupEntry:
         return f"pi_{self.m}({self.space}) = {self.group}"
 
 
-@dataclass(frozen=True)
-class HomEntry:
+class HomEntry(Frozen, defaults={"line": 0, "hom": None},
+               uncompared=("line", "hom")):
     """A hom line; hom is its map, resolved against the group entries when
     the database is built (None if it dangles or is ill defined), and
     matrix is then the map's canonical matrix."""
 
-    name: str
-    source: tuple[SpaceId, int]
-    target: tuple[SpaceId, int]
-    matrix: tuple[tuple[int, ...], ...]
-    provenance: str
-    line: int = field(default=0, compare=False)
-    hom: Optional[Homomorphism] = field(default=None, compare=False)
+    __slots__ = ("name", "source", "target", "matrix", "provenance", "line",
+                 "hom")
 
     @property
     def key(self):
@@ -182,11 +165,8 @@ class HomEntry:
         return f"{self.name}: pi_{sm}({s}) -> pi_{tm}({t})"
 
 
-@dataclass(frozen=True)
-class HomRef:
-    name: str
-    source: Optional[tuple[SpaceId, int]] = None
-    target: Optional[tuple[SpaceId, int]] = None
+class HomRef(Frozen, defaults={"source": None, "target": None}):
+    __slots__ = ("name", "source", "target")
 
     @classmethod
     def parse(cls, token: str) -> "HomRef":
@@ -208,44 +188,38 @@ class HomRef:
         return f"{self.name}:{s},{sm}->{t},{tm}"
 
 
-@dataclass(frozen=True)
-class Assertion:
-    kind: str                    # "exact", "zero" or "surjective"
-    refs: tuple[HomRef, ...]
-    line: int = field(default=0, compare=False)
+class Assertion(Frozen, defaults={"line": 0}, uncompared=("line",)):
+    __slots__ = ("kind", "refs", "line")     # kind: exact, zero or surjective
 
     def __str__(self):
         return f"assert_{self.kind} " + " ".join(str(r) for r in self.refs)
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    subject: str
-    message: str
-    line: int = field(default=0, compare=False)
+class Violation(Frozen, defaults={"line": 0}, uncompared=("line",)):
+    __slots__ = ("kind", "subject", "message", "line")
 
     def __str__(self):
         where = f" (line {self.line})" if self.line else ""
         return f"[{self.kind}] {self.subject}: {self.message}{where}"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Database:
+class Database(Frozen):
     """Group, homomorphism and assertion entries; immutable once built.
 
-    homs keeps file order; lookups go through an index keyed by
-    (name, source, target).
+    groups is a read-only mapping from (space, m) to GroupEntry; homs
+    keeps file order, and lookups go through an index keyed by (name,
+    source, target).  _slices memoises the resolved data of each
+    projective slice (classifier.ProjectiveSlice.resolve); it is derived
+    from the entries, so == and serialize ignore it.
     """
 
-    version: str
-    groups: Mapping[tuple[SpaceId, int], GroupEntry]
-    homs: tuple[HomEntry, ...]
-    assertions: tuple[Assertion, ...]
-    _hom_index: dict = field(init=False)
+    __slots__ = ("version", "groups", "homs", "assertions", "_hom_index",
+                 "_slices")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hom_index", {e.key: e for e in self.homs})
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        setfield(self, "_hom_index", {e.key: e for e in self.homs})
+        setfield(self, "_slices", {})
 
     # -- lookups ------------------------------------------------------------
 
@@ -380,7 +354,7 @@ def _build(version, groups, homs, assertions) -> Database:
     for entry in homs.values():
         hom, _ = _resolve(groups, entry)
         entries.append(entry if hom is None
-                       else replace(entry, matrix=hom.matrix, hom=hom))
+                       else entry.replace(matrix=hom.matrix, hom=hom))
     qualified = []
     for assertion in assertions:
         refs = []
@@ -444,22 +418,14 @@ def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
                 lineno))
             return
         homs[entry.key] = entry
-    elif directive == "assert_exact":
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError("assert_exact needs exactly two hom references")
-        refs = tuple(HomRef.parse(p) for p in parts[1:])
-        assertions.append(Assertion("exact", refs, lineno))
-    elif directive == "assert_zero":
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError("assert_zero needs exactly one hom reference")
-        assertions.append(Assertion("zero", (HomRef.parse(parts[1]),), lineno))
-    elif directive == "assert_surjective":
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError("assert_surjective needs exactly one hom reference")
-        assertions.append(Assertion("surjective", (HomRef.parse(parts[1]),), lineno))
+    elif directive in ("assert_exact", "assert_zero", "assert_surjective"):
+        exact = directive == "assert_exact"
+        refs = line.split()[1:]
+        if len(refs) != (2 if exact else 1):
+            raise ValueError(f"{directive} needs exactly " + (
+                "two hom references" if exact else "one hom reference"))
+        assertions.append(Assertion(directive.removeprefix("assert_"),
+                                    tuple(HomRef.parse(r) for r in refs), lineno))
     else:
         raise ValueError(f"unrecognized directive {directive!r}")
 
@@ -566,15 +532,19 @@ def loads(text: str, origin: str = "<string>") -> Database:
     return db
 
 
-def load(path) -> Database:
-    """Load a database file; raise DatabaseError on any violation."""
+def read_db_text(path) -> str:
+    """A database file's text; an unreadable or non-UTF-8 file is an io violation."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DatabaseError(
             [Violation("io", str(path), str(exc))], str(path)) from exc
-    return loads(text, str(path))
+
+
+def load(path) -> Database:
+    """Load a database file; raise DatabaseError on any violation."""
+    return loads(read_db_text(path), str(path))
 
 
 def check(text: str, origin: str = "<string>"):

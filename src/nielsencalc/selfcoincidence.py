@@ -16,10 +16,8 @@ injectivity on pi_{m-1}(S^{n-1}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from .fgab import GroupElement, Homomorphism, paired_injective
+from ._frozen import Frozen, setfield
+from .fgab import GroupElement, paired_injective
 from .homotopy_db import Database
 from .classifier import ClassificationError, ProjectiveSlice
 
@@ -32,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LoosenessVerdict:
+class LoosenessVerdict(Frozen):
     """How removable the self-coincidence of (f, f) is.
 
     Stores small_deformation (boundary([f~]) = 0) and omega_sharp_zero
@@ -42,15 +39,19 @@ class LoosenessVerdict:
     case: the invariant vanishes but the pair is not loose.
     """
 
-    K: str
-    m: int
-    nprime: int
-    small_deformation: bool
-    omega_sharp_zero: bool
+    __slots__ = ("K", "m", "nprime", "small_deformation", "omega_sharp_zero",
+                 "_key")
 
-    def __post_init__(self):
-        if self.small_deformation and not self.omega_sharp_zero:
+    def __init__(self, K: str, m: int, nprime: int, small_deformation: bool,
+                 omega_sharp_zero: bool):
+        if small_deformation and not omega_sharp_zero:
             raise ClassificationError("looseness forces the invariant to vanish")
+        setfield(self, "K", K)
+        setfield(self, "m", m)
+        setfield(self, "nprime", nprime)
+        setfield(self, "small_deformation", small_deformation)
+        setfield(self, "omega_sharp_zero", omega_sharp_zero)
+        setfield(self, "_key", (K, m, nprime, small_deformation, omega_sharp_zero))
 
     @property
     def loose(self) -> bool:
@@ -72,17 +73,16 @@ class LoosenessVerdict:
         return self.omega_sharp_zero and not self.small_deformation
 
 
-@dataclass(frozen=True)
-class StructuralCriterion:
+class StructuralCriterion(Frozen, defaults={
+        "j_star": None, "incl_star": None, "suspension": None}):
     """The maps out of pi_{m-1}(S^{n-1}) that control the two equivalences:
     j into the punctured target, the fiber inclusion into the unit
-    tangent/frame space, and the suspension."""
+    tangent/frame space, and the suspension, each a Homomorphism or None."""
 
-    j_star: Optional[Homomorphism] = None
-    incl_star: Optional[Homomorphism] = None
-    suspension: Optional[Homomorphism] = None
+    __slots__ = ("j_star", "incl_star", "suspension")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         sources = {h.source for h in (self.j_star, self.incl_star, self.suspension)
                    if h is not None}
         if len(sources) > 1:

@@ -202,6 +202,15 @@ def test_non_utf8_db_file_is_an_io_violation(tmp_path, capsys, command):
     assert err.endswith(f"database rejected: {path}\n")
 
 
+@pytest.mark.parametrize("command", ["db-validate", "db-show"])
+def test_missing_db_file_is_an_io_violation(tmp_path, capsys, command):
+    path = tmp_path / "none.nielsendb"
+    code, out, err = run(capsys, command, "--db", str(path))
+    assert (code, out) == (4, "")
+    assert err == (f"[io] {path}: [Errno 2] No such file or directory: "
+                   f"'{path}'\ndatabase rejected: {path}\n")
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -273,15 +282,57 @@ def test_deterministic_output(capsys):
     assert runs[0] == runs[1]
 
 
-def test_module_invocation_subprocess():
+def _child(*args):
     # the child imports the package this process imported, also when the
     # test run put src/ on sys.path without setting PYTHONPATH
     package_root = str(Path(nielsencalc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nielsencalc", "spaceform", "--order", "7",
-         "--n", "3", "--homotopic", "false"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def test_module_invocation_subprocess():
+    proc = _child("-m", "nielsencalc", "spaceform", "--order", "7",
+                  "--n", "3", "--homotopic", "false")
     assert proc.returncode == 0
     assert "N#=MCC=7" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# start-up: what a fresh interpreter loads
+
+_IMPORTS = """
+import sys
+before = set(sys.modules)
+import nielsencalc.cli
+print(sorted({"dataclasses", "inspect", "ast", "json"} & (set(sys.modules) - before)))
+"""
+
+_JSON_ON_DEMAND = """
+import contextlib, io, sys
+seen = ["json" in sys.modules]
+from nielsencalc.cli import main
+seen.append("json" in sys.modules)
+argv = ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "1", "--f2", "1"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for extra in ([], ["--output", "machine"]):
+        assert main(argv + extra) == 0
+        seen.append("json" in sys.modules)
+print(seen)
+"""
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_ast_and_json():
+    proc = _child("-c", _IMPORTS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_json_is_imported_for_machine_output_only():
+    proc = _child("-c", _JSON_ON_DEMAND)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.startswith("[True"):
+        pytest.skip("this interpreter loads json before the package")
+    # before and after the import, after a text and after a machine call
+    assert proc.stdout.strip() == "[False, False, False, True]"

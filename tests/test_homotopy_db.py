@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 from types import MappingProxyType
@@ -41,13 +40,6 @@ def test_space_parse_and_render():
         SpaceId.parse("S(0)")
     with pytest.raises(ValueError):
         SpaceId.parse("P(Q,3)")
-
-
-def test_space_real_dim_is_derived():
-    assert P("R", 6).real_dim == 6
-    assert P("C", 2).real_dim == 4
-    assert P("H", 2).real_dim == 8
-    assert V("R", 6).real_dim == 11  # unit tangent bundle of S^6
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +118,11 @@ def test_loaded_database_cannot_be_changed(db):
         db.homs.append(db.homs[0])
     with pytest.raises(TypeError):
         db.groups[(S(6), 11)] = db.groups[(S(5), 10)]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         db.homs[0].matrix = ((5,),)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         db.groups[(S(6), 11)].provenance = "changed"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         db.assertions = ()
     assert validate(db) == []
     assert serialize(db) == text
@@ -149,14 +141,13 @@ def test_hash_inside_quotes_is_not_a_comment():
 
 def test_serialize_refuses_quote_in_provenance(db):
     entry = db.groups[(S(6), 11)]
-    quoted = dataclasses.replace(entry, provenance='say "hi"')
-    bad = dataclasses.replace(
-        db, groups=MappingProxyType({**db.groups, entry.key: quoted}))
+    quoted = entry.replace(provenance='say "hi"')
+    bad = db.replace(groups=MappingProxyType({**db.groups, entry.key: quoted}))
     with pytest.raises(ValueError, match=r"pi_11\(S\(6\)\)"):
         serialize(bad)
-    hom = dataclasses.replace(db.homs[0], provenance='say "hi"')
+    hom = db.homs[0].replace(provenance='say "hi"')
     with pytest.raises(ValueError, match=re.escape(db.homs[0].ref())):
-        serialize(dataclasses.replace(db, homs=(hom,) + db.homs[1:]))
+        serialize(db.replace(homs=(hom,) + db.homs[1:]))
 
 
 # ---------------------------------------------------------------------------
