@@ -11,9 +11,9 @@ the classification.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
 from . import homotopy_db
@@ -267,77 +267,105 @@ def _cmd_db_show(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def build_parser() -> argparse.ArgumentParser:
+# command -> (handler, help, options); an option is (flag, keywords of
+# ArgumentParser.add_argument), and every command also takes _COMMON
+_COMMON = (
+    ("--db", {"help": "database file (default: $NIELSEN_DB or the shipped "
+                      "database)"}),
+    ("--output", {"choices": ("text", "machine"), "default": "text",
+                  "help": "answer format"}))
+_K = ("--K", {"required": True, "choices": ("R", "C", "H")})
+_INT = {"type": int, "required": True}
+_M, _NPRIME = ("--m", _INT), ("--nprime", _INT)
+_COORDS = {"required": True, "metavar": "COORDS"}
+COMMANDS = {
+    "classify": (_cmd_classify, "seven-case classification for S^m -> KP(n')", (
+        _K, _M, _NPRIME,
+        ("--f1", {**_COORDS, "help": "lift coordinates of the first class"}),
+        ("--f2", _COORDS),
+        ("--residue1", {"metavar": "COORDS"}),
+        ("--residue2", {"metavar": "COORDS"}))),
+    "self": (_cmd_self, "looseness verdict for a self-pair (f,f)", (
+        _K, _M, _NPRIME, ("--f", _COORDS))),
+    "sphere": (_cmd_sphere, "coincidence numbers for S^m -> S^n", (
+        _M, ("--n", _INT), ("--f1", _COORDS), ("--f2", _COORDS),
+        ("--antipodal", {"choices": ("auto", "yes", "no"), "default": "auto",
+                         "help": "whether f1 ~ A∘f2 (auto: decide from the "
+                                 "database)"}))),
+    "spaceform": (_cmd_spaceform,
+                  "counts for maps into a spherical space form S^n/G", (
+        ("--order", {**_INT, "help": "order of the deck group G"}),
+        ("--n", _INT),
+        ("--homotopic", {"choices": ("true", "false"), "required": True}),
+        ("--domain-case", {"choices": ("sphere", "simply-connected"),
+                           "default": "sphere"}))),
+    "db-validate": (_cmd_db_validate, "validate a database file", ()),
+    "db-show": (_cmd_db_show, "list the contents of a database", ()),
+}
+
+
+def _parse_strict(argv) -> Optional[SimpleNamespace]:
+    """What ``build_parser().parse_args(argv)`` returns, for an argv made of
+    a command and exact option names, each as --name=value or as --name
+    followed by a value that does not start with '-'.  None for any other
+    argv, which is left to argparse and its messages."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, options = COMMANDS[argv[0]]
+    specs = dict(_COMMON + options)
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in specs:
+            return None
+        if not eq:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        elif value == "--":     # argparse drops it and stores []
+            return None
+        spec = specs[flag]
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[flag] = value
+    args = SimpleNamespace(command=argv[0], func=func)
+    for flag, spec in specs.items():
+        if flag not in values and spec.get("required"):
+            return None
+        setattr(args, flag[2:].replace("-", "_"),
+                values.get(flag, spec.get("default")))
+    return args
+
+
+def build_parser() -> "argparse.ArgumentParser":
+    import argparse     # here, so that a well-formed call does not load it
     parser = argparse.ArgumentParser(
         prog="nielsencalc",
         description="Exact Nielsen and minimum coincidence numbers for maps "
                     "from spheres into projective spaces, spheres, and "
                     "spherical space forms.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--db", default=None,
-                        help="database file (default: $NIELSEN_DB or the "
-                             "shipped database)")
-    common.add_argument("--output", choices=("text", "machine"),
-                        default="text", help="answer format")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="seven-case classification for S^m -> KP(n')")
-    p.add_argument("--K", required=True, choices=("R", "C", "H"))
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--nprime", type=int, required=True)
-    p.add_argument("--f1", required=True, metavar="COORDS",
-                   help="lift coordinates of the first class")
-    p.add_argument("--f2", required=True, metavar="COORDS")
-    p.add_argument("--residue1", metavar="COORDS", default=None)
-    p.add_argument("--residue2", metavar="COORDS", default=None)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("self", parents=[common],
-                       help="looseness verdict for a self-pair (f,f)")
-    p.add_argument("--K", required=True, choices=("R", "C", "H"))
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--nprime", type=int, required=True)
-    p.add_argument("--f", required=True, metavar="COORDS")
-    p.set_defaults(func=_cmd_self)
-
-    p = sub.add_parser("sphere", parents=[common],
-                       help="coincidence numbers for S^m -> S^n")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--f1", required=True, metavar="COORDS")
-    p.add_argument("--f2", required=True, metavar="COORDS")
-    p.add_argument("--antipodal", choices=("auto", "yes", "no"),
-                   default="auto",
-                   help="whether f1 ~ A∘f2 (auto: decide from the database)")
-    p.set_defaults(func=_cmd_sphere)
-
-    p = sub.add_parser("spaceform", parents=[common],
-                       help="counts for maps into a spherical space form S^n/G")
-    p.add_argument("--order", type=int, required=True,
-                   help="order of the deck group G")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--homotopic", choices=("true", "false"), required=True)
-    p.add_argument("--domain-case", dest="domain_case",
-                   choices=("sphere", "simply-connected"), default="sphere")
-    p.set_defaults(func=_cmd_spaceform)
-
-    p = sub.add_parser("db-validate", parents=[common],
-                       help="validate a database file")
-    p.set_defaults(func=_cmd_db_validate)
-
-    p = sub.add_parser("db-show", parents=[common],
-                       help="list the contents of a database")
-    p.set_defaults(func=_cmd_db_show)
+    for command, (func, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, spec in _COMMON + options:
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_strict(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
     except UsageError as exc:

@@ -74,6 +74,10 @@ class DatabaseError(Exception):
         super().__init__(prefix + "; ".join(lines))
 
 
+_SPHERE_RE = re.compile(r"S\(([0-9]+)\)")
+_SPACE_RE = re.compile(r"([VP])\(([RCH]),([0-9]+)\)")
+
+
 class SpaceId(Frozen):
     """A sphere S(n), Stiefel manifold V(K,n') or projective space P(K,n').
 
@@ -118,10 +122,10 @@ class SpaceId(Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "SpaceId":
-        m = re.fullmatch(r"S\((\d+)\)", text)
+        m = _SPHERE_RE.fullmatch(text)
         if m:
             return cls.sphere(int(m.group(1)))
-        m = re.fullmatch(r"([VP])\(([RCH]),(\d+)\)", text)
+        m = _SPACE_RE.fullmatch(text)
         if m:
             return cls(m.group(1), m.group(2), int(m.group(3)))
         raise ValueError(f"cannot parse space {text!r}")
@@ -273,11 +277,14 @@ class Database(Frozen):
 # ---------------------------------------------------------------------------
 # parsing
 
+# numbers are ASCII digits: \d and int() would also take other scripts'
+# digits, and int() a sign or underscores
 _GROUP_RE = re.compile(
-    r'^group\s+(\S+)\s+(\d+)\s*=\s*(\d+)\s*\[([^\]]*)\]\s+gens\s+(\S+)'
+    r'^group\s+(\S+)\s+([0-9]+)\s*=\s*([0-9]+)\s*'
+    r'\[\s*((?:[0-9]+(?:\s*,\s*[0-9]+)*)?)\s*\]\s+gens\s+(\S+)'
     r'\s+src\s+"([^"]*)"$')
 _HOM_RE = re.compile(
-    r'^hom\s+(\w+)\s+(\S+?),(\d+)\s*->\s*(\S+?),(\d+)\s+matrix\s+(\[.*\])'
+    r'^hom\s+(\w+)\s+(\S+?),([0-9]+)\s*->\s*(\S+?),([0-9]+)\s+matrix\s+(\[.*\])'
     r'\s+src\s+"([^"]*)"$')
 _VERSION_RE = re.compile(r'^nielsendb\s+(\S+)$')
 
@@ -292,7 +299,7 @@ def _strip_comment(raw: str) -> str:
 
 def _parse_space_m(text: str) -> tuple[SpaceId, int]:
     space_text, comma, m_text = text.strip().rpartition(",")
-    if not comma:
+    if not comma or not (m_text.isascii() and m_text.isdigit()):
         raise ValueError(f"expected <space>,<m>, got {text!r}")
     return SpaceId.parse(space_text.strip()), int(m_text)
 
@@ -376,7 +383,7 @@ def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
         space = SpaceId.parse(m.group(1))
         degree = int(m.group(2))
         free_rank = int(m.group(3))
-        torsion_text = m.group(4).strip()
+        torsion_text = m.group(4)
         torsion = tuple(int(x) for x in torsion_text.split(",")) if torsion_text else ()
         labels_text = m.group(5)
         labels = () if labels_text == "-" else tuple(labels_text.split(","))

@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
 
 import nielsencalc
-from nielsencalc import homotopy_db
+from nielsencalc import cli, homotopy_db
 from nielsencalc.cli import main
+from test_golden_cli import ERROR_COMMANDS, README_COMMANDS
 
 
 def run(capsys, *argv):
@@ -191,6 +194,19 @@ def test_missing_db_file_is_database_failure(capsys):
     assert "database rejected" in err
 
 
+@pytest.mark.parametrize("torsion", ["\u0665", "+2", "2_4"])
+def test_db_validate_rejects_digits_other_than_ascii(tmp_path, capsys, torsion):
+    lines = homotopy_db.default_db_text().splitlines(keepends=True)
+    lineno = next(k for k, line in enumerate(lines, 1)
+                  if line.startswith("group S(7) 10 = 0 [24]"))
+    lines[lineno - 1] = lines[lineno - 1].replace("[24]", f"[{torsion}]")
+    path = tmp_path / "digits.nielsendb"
+    path.write_text("".join(lines), encoding="utf-8")
+    code, out, err = run(capsys, "db-validate", "--db", str(path))
+    assert (code, out) == (4, "")
+    assert err.startswith(f"[parse] {path}: malformed group line (line {lineno})\n")
+
+
 @pytest.mark.parametrize("command", ["db-validate", "db-show"])
 def test_non_utf8_db_file_is_an_io_violation(tmp_path, capsys, command):
     path = tmp_path / "bad.nielsendb"
@@ -306,7 +322,8 @@ _IMPORTS = """
 import sys
 before = set(sys.modules)
 import nielsencalc.cli
-print(sorted({"dataclasses", "inspect", "ast", "json"} & (set(sys.modules) - before)))
+print(sorted({"dataclasses", "inspect", "ast", "json", "argparse"}
+             & (set(sys.modules) - before)))
 """
 
 _JSON_ON_DEMAND = """
@@ -336,3 +353,133 @@ def test_json_is_imported_for_machine_output_only():
         pytest.skip("this interpreter loads json before the package")
     # before and after the import, after a text and after a machine call
     assert proc.stdout.strip() == "[False, False, False, True]"
+
+
+_ARGPARSE_ON_DEMAND = """
+import contextlib, io, sys
+seen = ["argparse" in sys.modules]
+from nielsencalc.cli import main
+argv = ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "1", "--f2", "1"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for call in (argv, ["--help"]):
+        assert main(call) == 0
+        seen.append("argparse" in sys.modules)
+print(seen)
+"""
+
+
+def test_argparse_is_imported_for_help_only():
+    proc = _child("-c", _ARGPARSE_ON_DEMAND)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.startswith("[True"):
+        pytest.skip("this interpreter loads argparse before the package")
+    # before the import, after a text classify and after --help
+    assert proc.stdout.strip() == "[False, False, True]"
+
+
+# ---------------------------------------------------------------------------
+# the strict parser against argparse
+
+# the cli_session command mix of the benchmark (bench/workloads.py)
+BENCH_COMMANDS = [
+    ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "2", "--f2", "2"],
+    ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "1", "--f2", "1"],
+    ["classify", "--K", "R", "--m", "6", "--nprime", "6", "--f1", "1", "--f2=-1"],
+    ["classify", "--K", "R", "--m", "6", "--nprime", "6", "--f1", "3", "--f2", "1"],
+    ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "1", "--f2", "0"],
+    ["classify", "--K", "C", "--m", "5", "--nprime", "2", "--f1", "1", "--f2", "1"],
+    ["classify", "--K", "H", "--m", "11", "--nprime", "2", "--f1", "1", "--f2", "2"],
+    ["self", "--K", "R", "--m", "11", "--nprime", "6", "--f", "1"],
+    ["sphere", "--m", "11", "--n", "6", "--f1", "1", "--f2", "0"],
+    ["sphere", "--m", "1", "--n", "1", "--f1", "3", "--f2", "1"],
+    ["spaceform", "--order", "5", "--n", "3", "--homotopic", "false"],
+    ["spaceform", "--order", "5", "--n", "3", "--homotopic", "false", "--output", "machine"],
+    ["db-validate"],
+    ["db-show"],
+    ["classify", "--K", "R", "--m", "12", "--nprime", "6", "--f1", "1", "--f2", "1"],
+    ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "x", "--f2", "1"],
+]
+
+
+def test_strict_parser_takes_the_documented_and_benchmarked_calls():
+    for argv in README_COMMANDS + ERROR_COMMANDS + BENCH_COMMANDS:
+        args = cli._parse_strict(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+def _outcome(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception as exc:    # argparse stores [] for --m=--
+            code = type(exc).__name__
+    return code, out.getvalue(), err.getvalue()
+
+
+_GOOD_INTS = ("0", "1", "2", "5", "6", "11")
+_COORDS = ("1", "0", "2", "1,2", "x")
+_BAD = ("", "X", " 7 ", "+3", "\u0665", "-1", "-", "--", "--x", "-h", "a=b")
+_JUNK = ("-h", "--help", "--", "junk", "--nprim", "--f", "-1")
+
+
+def test_strict_parser_agrees_with_argparse(tmp_path, monkeypatch):
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    monkeypatch.delenv("NIELSEN_DB", raising=False)
+    monkeypatch.chdir(tmp_path)
+
+    def good(spec):
+        if "choices" in spec:
+            return spec["choices"]
+        return _GOOD_INTS if spec.get("type") is int else _COORDS
+
+    @st.composite
+    def argvs(draw):
+        # a well-formed call, then up to two faults: a bad value, an
+        # abbreviated name, a missing option or a stray token
+        command = draw(st.sampled_from([*cli.COMMANDS] * 3 + ["--help", "-h", "clasify"]))
+        options = cli.COMMANDS[command][2] if command in cli.COMMANDS else ()
+        pairs = [[flag, draw(st.sampled_from(good(spec)))]
+                 for flag, spec in cli._COMMON + options
+                 for _ in range(draw(st.integers(bool(spec.get("required")), 2)))]
+        strays = []
+        for _ in range(draw(st.sampled_from((0, 1, 1, 2)))):
+            fault = draw(st.sampled_from(("value", "name", "drop", "stray")))
+            if fault == "stray" or not pairs:
+                strays.append([draw(st.sampled_from(_JUNK))])
+            elif fault == "drop":
+                pairs.pop(draw(st.integers(0, len(pairs) - 1)))
+            else:
+                pair = draw(st.sampled_from(pairs))
+                if fault == "value":
+                    pair[1] = draw(st.sampled_from(_BAD))
+                else:
+                    pair[0] = pair[0][:-1]
+        tokens = [command]
+        for pair in draw(st.permutations(pairs + strays)):
+            tokens += ["=".join(pair)] if draw(st.booleans()) else pair
+        return tokens
+
+    @settings(max_examples=500, deadline=None, database=None, derandomize=True)
+    @given(argvs())
+    @example(["db-validate", "--db=--"])
+    @example(["db-show", "--output", "X", "--output", "text"])
+    @example(["self", "--K", "R", "--m", "11", "--nprime", "6", "--f", "-h"])
+    def check(argv):
+        strict = cli._parse_strict(argv)
+        if strict is not None:
+            try:
+                expected = vars(cli.build_parser().parse_args(argv))
+            except SystemExit:
+                expected = "rejected by argparse"
+            assert vars(strict) == expected
+        else:
+            outcome = _outcome(argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_parse_strict", lambda argv: None)
+                assert outcome == _outcome(argv)
+
+    check()

@@ -53,8 +53,21 @@ ERROR_COMMANDS = [
      "--db", "inconsistent.nielsendb"],
 ]
 
+# help, a bad choice, an abbreviated option name and a negative value in
+# its own token: the argv that main() leaves to argparse
+ARGPARSE_COMMANDS = [
+    ["--help"],
+    ["classify", "--help"],
+    ["classify", "--K", "X", "--m", "11", "--nprime", "6", "--f1", "1", "--f2", "1"],
+    ["classify", "--K", "R", "--m", "11", "--nprim", "6", "--f1", "1", "--f2", "1"],
+    ["classify", "--K", "R", "--m", "6", "--nprime", "6", "--f1", "1", "--f2", "-1"],
+]
+
 COMMANDS = ([argv + ["--output", mode] for argv in README_COMMANDS
-             for mode in ("text", "machine")] + ERROR_COMMANDS)
+             for mode in ("text", "machine")] + ERROR_COMMANDS + ARGPARSE_COMMANDS)
+
+# argparse wraps its help text to the terminal width
+COLUMNS = "80"
 
 # identity antipodal action on pi_6(S^6), where it must negate degree
 INCONSISTENT_DB = (
@@ -95,6 +108,7 @@ def test_golden_covers_every_command():
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_golden_cli(argv, tmp_path, monkeypatch):
     monkeypatch.delenv("NIELSEN_DB", raising=False)
+    monkeypatch.setenv("COLUMNS", COLUMNS)
     monkeypatch.chdir(tmp_path)
     _write_databases(tmp_path)
     assert _run(argv) == _expected()[tuple(argv)]
@@ -102,6 +116,7 @@ def test_golden_cli(argv, tmp_path, monkeypatch):
 
 def _record():
     os.environ.pop("NIELSEN_DB", None)
+    os.environ["COLUMNS"] = COLUMNS
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         _write_databases(Path(tmp))

@@ -313,6 +313,39 @@ def test_directive_may_be_followed_by_a_tab():
 
 
 # ---------------------------------------------------------------------------
+# numbers are ASCII digits
+
+_DIGITS_DB = ("nielsendb v1\n"
+              'group S(2) 2 = 1 [] gens a src "x"\n'
+              'group S(3) 3 = 1 [] gens b src "y"\n'
+              'hom suspension_E S(2),2 -> S(3),3 matrix [[1]] src "z"\n'
+              "{line}\n")
+
+
+@pytest.mark.parametrize("line", [
+    'group S(\u0665) 5 = 0 [2] gens u src "w"',
+    'group S(5) \u0665 = 0 [2] gens u src "w"',
+    'group S(5) 5 = \u0661 [] gens u src "w"',
+    'group S(5) 5 = 0 [\u0662] gens u src "w"',
+    'group S(5) 5 = 0 [+2] gens u src "w"',
+    'group S(5) 5 = 0 [2_4] gens u src "w"',
+    'hom antipodal_A S(2),\u0662 -> S(2),2 matrix [[-1]] src "w"',
+    'hom antipodal_A P(R,\u0662),2 -> S(2),2 matrix [[-1]] src "w"',
+    "assert_zero suspension_E:S(2),+2->S(3),3",
+])
+def test_numbers_are_ascii_digits(line):
+    _, violations = hdb.check(_DIGITS_DB.format(line=line))
+    assert [(v.kind, v.line) for v in violations] == [("parse", 5)]
+
+
+def test_torsion_may_have_spaces_around_commas():
+    db, violations = hdb.check(_DIGITS_DB.format(
+        line='group S(5) 5 = 0 [ 2 , 4 ] gens u,v src "w"'))
+    assert violations == []
+    assert db.groups[(S(5), 5)].group.torsion == (2, 4)
+
+
+# ---------------------------------------------------------------------------
 # matrix literal grammar
 
 _LITERAL_DB = ("nielsendb v1\n"
