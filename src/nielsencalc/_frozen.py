@@ -28,12 +28,14 @@ class Frozen:
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
-        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
-        if (len(args) > len(fields) or values.keys() != set(fields)
-                or not kwargs.keys().isdisjoint(fields[:len(args)])):
-            raise TypeError(f"{type(self).__name__}() takes {fields}, each once")
-        for field in fields:
-            setfield(self, field, values[field])
+        if kwargs or len(args) != len(fields):
+            values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+            if (len(args) > len(fields) or values.keys() != set(fields)
+                    or not kwargs.keys().isdisjoint(fields[:len(args)])):
+                raise TypeError(f"{type(self).__name__}() takes {fields}, each once")
+            args = [values[field] for field in fields]
+        for field, value in zip(fields, args):
+            setfield(self, field, value)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r}")

@@ -362,8 +362,13 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_strict(argv)
     if args is None:
+        parser = build_parser()
         try:
-            args = build_parser().parse_args(argv)
+            args = parser.parse_args(argv)
+            bad = [dest for dest, value in vars(args).items() if value == []]
+            if bad:     # argparse drops the value of --name=-- and stores []
+                flag = "--" + bad[0].replace("_", "-")
+                parser.error(f"argument {flag}: expected one argument")
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
     try:

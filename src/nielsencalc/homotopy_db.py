@@ -2,16 +2,24 @@
 
 The store is a line-oriented UTF-8 text format ("nielsendb v1"):
 
-    group <space> <m> = <free_rank> [d1,d2,...] gens <labels> src "<citation>"
-    hom <name> <space>,<m> -> <space>,<m> matrix [[..],[..]] src "<citation>"
+    nielsendb v1
+    group <space> <m> = <free_rank> [<d1>,<d2>,...] gens <labels> src "<citation>"
+    hom <name> <space>,<m> -> <space>,<m> matrix <matrix> src "<citation>"
     assert_exact <homref> <homref>
     assert_zero <homref>
     assert_surjective <homref>
 
-Spaces are written S(n), V(K,n'), P(K,n') with K in {R, C, H}; a '#'
-outside double quotes starts a comment.  A <homref> is either a bare
-homomorphism name (if unique in the file) or the qualified form
-name:S(5),10->S(6),11.
+A '#' outside double quotes starts a comment; the first line that is not
+blank is the version line.  Words are separated by whitespace (as in
+str.isspace), which may also appear, or not, around '=', inside the torsion
+brackets and around '->'.  Numbers are ASCII digit strings.  Spaces are
+S(n), V(K,n'), P(K,n') with K in {R, C, H}; a <name> is letters, digits and
+'_'; the citation is the text after the second-to-last '"'; a hom's source
+ends at the first ',<m>' followed by '->' that lets the rest of the line
+match.  A <matrix> such as [[1,0],[-2,3]] has integers without leading
+zeros and allows only spaces and tabs around its brackets and commas.  A
+<homref> is either a bare homomorphism name (if unique in the file) or the
+qualified form name:S(5),10->S(6),11.
 
 Lookups never guess: a missing entry is reported as None, and the
 require_* helpers raise InsufficientDataError naming exactly what is
@@ -22,7 +30,6 @@ exact-arithmetic layer.  A Database cannot be changed once built.
 
 from __future__ import annotations
 
-import re
 from importlib import resources
 from types import MappingProxyType
 from typing import Optional
@@ -74,10 +81,6 @@ class DatabaseError(Exception):
         super().__init__(prefix + "; ".join(lines))
 
 
-_SPHERE_RE = re.compile(r"S\(([0-9]+)\)")
-_SPACE_RE = re.compile(r"([VP])\(([RCH]),([0-9]+)\)")
-
-
 class SpaceId(Frozen):
     """A sphere S(n), Stiefel manifold V(K,n') or projective space P(K,n').
 
@@ -122,12 +125,12 @@ class SpaceId(Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "SpaceId":
-        m = _SPHERE_RE.fullmatch(text)
-        if m:
-            return cls.sphere(int(m.group(1)))
-        m = _SPACE_RE.fullmatch(text)
-        if m:
-            return cls(m.group(1), m.group(2), int(m.group(3)))
+        kind, paren, rest = text.partition("(")
+        args = rest[:-1].split(",") if paren and rest.endswith(")") else [""]
+        K = args[0] if len(args) == 2 and kind in ("V", "P") else None
+        if _digits(args[-1]) and (K in FIELD_DIMS
+                                  or kind == "S" and len(args) == 1):
+            return cls(kind, K, int(args[-1]))
         raise ValueError(f"cannot parse space {text!r}")
 
     def __str__(self) -> str:
@@ -277,16 +280,8 @@ class Database(Frozen):
 # ---------------------------------------------------------------------------
 # parsing
 
-# numbers are ASCII digits: \d and int() would also take other scripts'
-# digits, and int() a sign or underscores
-_GROUP_RE = re.compile(
-    r'^group\s+(\S+)\s+([0-9]+)\s*=\s*([0-9]+)\s*'
-    r'\[\s*((?:[0-9]+(?:\s*,\s*[0-9]+)*)?)\s*\]\s+gens\s+(\S+)'
-    r'\s+src\s+"([^"]*)"$')
-_HOM_RE = re.compile(
-    r'^hom\s+(\w+)\s+(\S+?),([0-9]+)\s*->\s*(\S+?),([0-9]+)\s+matrix\s+(\[.*\])'
-    r'\s+src\s+"([^"]*)"$')
-_VERSION_RE = re.compile(r'^nielsendb\s+(\S+)$')
+def _digits(text: str) -> bool:    # int() also takes signs, '_' and non-ASCII digits
+    return text.isascii() and text.isdigit()
 
 
 def _strip_comment(raw: str) -> str:
@@ -299,27 +294,74 @@ def _strip_comment(raw: str) -> str:
 
 def _parse_space_m(text: str) -> tuple[SpaceId, int]:
     space_text, comma, m_text = text.strip().rpartition(",")
-    if not comma or not (m_text.isascii() and m_text.isdigit()):
+    if not comma or not _digits(m_text):
         raise ValueError(f"expected <space>,<m>, got {text!r}")
     return SpaceId.parse(space_text.strip()), int(m_text)
 
 
-# A matrix literal is a list of rows, each a list of decimal integers
-# with an optional '-'.  The shape is checked by one non-nesting regular
-# expression, so bracket depth costs no recursion.
-_INT = r"-?(?:0|[1-9][0-9]*)"
-_ROW = rf"\[[ \t]*(?:{_INT}(?:[ \t]*,[ \t]*{_INT})*)?[ \t]*\]"
-_MATRIX_RE = re.compile(rf"\[[ \t]*(?:{_ROW}(?:[ \t]*,[ \t]*{_ROW})*)?[ \t]*\]")
-_ROW_RE = re.compile(r"\[([^\[\]]*)\]")
+def _split_line(line: str):
+    """The first word, second word, rest and citation of a line of the form
+    <word> <word> <rest> src "<citation>", or None."""
+    head, quote, citation = line[:-1].rpartition('"')
+    before = head.rstrip()
+    words = before[:-3].rstrip().split(None, 2)
+    if (line.endswith('"') and quote and len(before) < len(head) and len(words) == 3
+            and before.endswith("src") and before[-4:-3].isspace()):
+        return (*words, citation)
+    return None
+
+
+def _hom_fields(line: str):
+    """Name, source, its degree, target, its degree, matrix, citation, or None."""
+    _, name, rest, citation = _split_line(line) or ("",) * 4
+    if not (name.replace("_", "a").isalnum() and rest.endswith("]")):
+        return None
+    # the source: the shortest start of the first word that lets the rest match
+    first = len(rest.split(None, 1)[0])
+    comma = rest.find(",", 1, first)
+    while comma > 0:
+        after = rest[comma + 1:]
+        arrow = after.lstrip("0123456789")
+        target = arrow.lstrip()
+        parts = target[2:].split(None, 2)
+        if (len(arrow) < len(after) and target.startswith("->") and len(parts) == 3
+                and parts[1] == "matrix" and parts[2].startswith("[")):
+            target, _, target_m = parts[0].rpartition(",")
+            if target and _digits(target_m):
+                return (name, rest[:comma], after[:len(after) - len(arrow)],
+                        target, target_m, parts[2], citation)
+        comma = rest.find(",", comma + 1, first)
+    return None
+
+
+_BAD_MATRIX = ("bad matrix literal: expected a list of rows of decimal "
+               "integers, such as [[1,0],[-2,3]]")
 
 
 def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
-    if not _MATRIX_RE.fullmatch(text):
-        raise ValueError("bad matrix literal: expected a list of rows of "
-                         "decimal integers, such as [[1,0],[-2,3]]")
-    rows = tuple(tuple(int(x) for x in body.split(",")) if body.strip() else ()
-                 for body in _ROW_RE.findall(text, 1, len(text) - 1))
-    if len({len(r) for r in rows}) > 1:
+    """The rows of a matrix literal, given with its outer brackets."""
+    inner = text[1:-1].strip(" \t")
+    if inner and inner[0] + inner[-1] != "[]":
+        raise ValueError(_BAD_MATRIX)
+    bodies = inner[1:-1].split("]") if inner else []
+    for k in range(1, len(bodies)):
+        sep, bracket, bodies[k] = bodies[k].partition("[")
+        if not bracket or sep.strip(" \t") != ",":
+            raise ValueError(_BAD_MATRIX)
+    items = [body.split(",") for body in bodies]
+    try:
+        rows = tuple(tuple(map(int, row)) for row in items)
+    except ValueError:
+        rows = ()
+    if [list(map(str, row)) for row in rows] != items:
+        # blanks, -0 or an empty row: check the text of every row, then convert
+        items = [[x.strip(" \t") for x in row] for row in items]
+        items = [[] if row == [""] else row for row in items]
+        if not all(d == "0" or _digits(d) and d[0] != "0"
+                   for row in items for d in (x.removeprefix("-") for x in row)):
+            raise ValueError(_BAD_MATRIX)
+        rows = tuple(tuple(map(int, row)) for row in items)
+    if len(set(map(len, rows))) > 1:
         raise ValueError("matrix rows have unequal lengths")
     return rows
 
@@ -327,7 +369,7 @@ def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
 def _parse_text(text: str, origin: str):
     version: Optional[str] = None
     groups: dict[tuple[SpaceId, int], GroupEntry] = {}
-    homs: dict[tuple, HomEntry] = {}
+    homs: dict[tuple, tuple] = {}   # key -> (matrix, provenance, line)
     assertions: list[Assertion] = []
     violations: list[Violation] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -335,13 +377,12 @@ def _parse_text(text: str, origin: str):
         if not line:
             continue
         if version is None:
-            m = _VERSION_RE.match(line)
-            if not m or m.group(1) != "v1":
+            if line.split() != ["nielsendb", "v1"]:
                 violations.append(Violation(
                     "parse", origin, "missing or unsupported version header "
                     "(expected 'nielsendb v1')", lineno))
                 return None, violations
-            version = m.group(1)
+            version = "v1"
             continue
         try:
             _parse_line(groups, homs, assertions, line, lineno, violations)
@@ -358,15 +399,16 @@ def _build(version, groups, homs, assertions) -> Database:
     assertion reference that names a single entry, so that
     serialize(load(f)) parses back to an equal database."""
     entries = []
-    for entry in homs.values():
-        hom, _ = _resolve(groups, entry)
-        entries.append(entry if hom is None
-                       else entry.replace(matrix=hom.matrix, hom=hom))
+    for key, (matrix, provenance, line) in homs.items():
+        hom, _ = _resolve(groups, key, matrix)
+        entries.append(HomEntry(*key, matrix if hom is None else hom.matrix,
+                                provenance, line, hom))
+    by_name = _by_name(entries)
     qualified = []
     for assertion in assertions:
         refs = []
         for ref in assertion.refs:
-            entry, _ = _lookup(entries, ref, assertion.line)
+            entry, _ = _lookup(by_name, ref, assertion.line)
             refs.append(ref if entry is None else HomRef(*entry.key))
         qualified.append(Assertion(assertion.kind, tuple(refs), assertion.line))
     return Database(version, MappingProxyType(groups), tuple(entries),
@@ -377,16 +419,18 @@ def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
                 lineno: int, violations: list[Violation]):
     directive = line.split(None, 1)[0]
     if directive == "group":
-        m = _GROUP_RE.match(line)
-        if not m:
+        _, space, rest, provenance = _split_line(line) or ("",) * 4
+        degree, _, rest = rest.partition("=")
+        free_rank, _, rest = rest.partition("[")
+        torsion, _, rest = rest.partition("]")
+        torsion = [d.strip() for d in torsion.split(",")] if torsion.strip() else []
+        gens = rest.split()
+        if not (rest[:1].isspace() and len(gens) == 2 and gens[0] == "gens" and all(
+                map(_digits, [degree.rstrip(), free_rank.strip(), *torsion]))):
             raise ValueError("malformed group line")
-        space = SpaceId.parse(m.group(1))
-        degree = int(m.group(2))
-        free_rank = int(m.group(3))
-        torsion_text = m.group(4)
-        torsion = tuple(int(x) for x in torsion_text.split(",")) if torsion_text else ()
-        labels_text = m.group(5)
-        labels = () if labels_text == "-" else tuple(labels_text.split(","))
+        space, degree, free_rank = SpaceId.parse(space), int(degree), int(free_rank)
+        torsion = tuple(map(int, torsion))
+        labels = () if gens[1] == "-" else tuple(gens[1].split(","))
         subject = f"pi_{degree}({space})"
         try:
             group = FgAbGroup(free_rank, torsion)
@@ -398,33 +442,32 @@ def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
                 "group_invariant", subject,
                 f"{len(labels)} generator labels for {group.dim} generators", lineno))
             return
-        entry = GroupEntry(space, degree, group, labels, m.group(6), lineno)
+        entry = GroupEntry(space, degree, group, labels, provenance, lineno)
         if entry.key in groups:
             violations.append(Violation(
                 "duplicate", subject, "second entry for the same group", lineno))
             return
         groups[entry.key] = entry
     elif directive == "hom":
-        m = _HOM_RE.match(line)
-        if not m:
+        fields = _hom_fields(line)
+        if fields is None:
             raise ValueError("malformed hom line")
-        name = m.group(1)
+        name, source, source_m, target, target_m, matrix, provenance = fields
         if name not in HOM_NAMES:
             violations.append(Violation(
                 "parse", name,
                 f"unknown homomorphism name (expected one of "
                 f"{', '.join(sorted(HOM_NAMES))})", lineno))
             return
-        source = (SpaceId.parse(m.group(2)), int(m.group(3)))
-        target = (SpaceId.parse(m.group(4)), int(m.group(5)))
-        matrix = _parse_matrix(m.group(6))
-        entry = HomEntry(name, source, target, matrix, m.group(7), lineno)
-        if entry.key in homs:
+        key = (name, (SpaceId.parse(source), int(source_m)),
+               (SpaceId.parse(target), int(target_m)))
+        matrix = _parse_matrix(matrix)
+        if key in homs:
             violations.append(Violation(
-                "duplicate", entry.ref(), "second entry for the same homomorphism",
-                lineno))
+                "duplicate", str(HomRef(*key)),
+                "second entry for the same homomorphism", lineno))
             return
-        homs[entry.key] = entry
+        homs[key] = (matrix, provenance, lineno)
     elif directive in ("assert_exact", "assert_zero", "assert_surjective"):
         exact = directive == "assert_exact"
         refs = line.split()[1:]
@@ -440,26 +483,32 @@ def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
 # ---------------------------------------------------------------------------
 # validation
 
-def _resolve(groups, entry: HomEntry):
-    """(map, None) for a well-defined entry, else (None, violation)."""
-    missing = [f"pi_{m}({space})" for space, m in (entry.source, entry.target)
+def _resolve(groups, key, matrix):
+    """(map, None) for a well-defined hom line, else (None, (kind, message))."""
+    _, source, target = key
+    missing = [f"pi_{m}({space})" for space, m in (source, target)
                if (space, m) not in groups]
     if missing:
-        return None, Violation(
-            "dangling_ref", entry.ref(),
-            "references missing group entries: " + ", ".join(missing), entry.line)
+        return None, ("dangling_ref",
+                      "references missing group entries: " + ", ".join(missing))
     try:
-        return Homomorphism(groups[entry.source].group, groups[entry.target].group,
-                            entry.matrix), None
+        return Homomorphism(groups[source].group, groups[target].group,
+                            matrix), None
     except ValueError as exc:
-        return None, Violation("ill_defined", entry.ref(), str(exc), entry.line)
+        return None, ("ill_defined", str(exc))
 
 
-def _lookup(entries, ref: HomRef, line: int):
+def _by_name(entries) -> dict[str, list[HomEntry]]:
+    index = {}
+    for entry in entries:
+        index.setdefault(entry.name, []).append(entry)
+    return index
+
+
+def _lookup(by_name, ref: HomRef, line: int):
     """(entry, None) for the one entry ref names, else (None, violation)."""
-    found = [e for e in entries
-             if e.name == ref.name
-             and (ref.source is None or e.source == ref.source)
+    found = [e for e in by_name.get(ref.name, ())
+             if (ref.source is None or e.source == ref.source)
              and (ref.target is None or e.target == ref.target)]
     if len(found) == 1:
         return found[0], None
@@ -480,7 +529,8 @@ def validate(db: Database) -> list[Violation]:
     violations: list[Violation] = []
     for entry in db.homs:
         if entry.hom is None:
-            violations.append(_resolve(db.groups, entry)[1])
+            kind, message = _resolve(db.groups, entry.key, entry.matrix)[1]
+            violations.append(Violation(kind, entry.ref(), message, entry.line))
         elif entry.name == "antipodal_A":
             if entry.source != entry.target:
                 violations.append(Violation(
@@ -493,10 +543,11 @@ def validate(db: Database) -> list[Violation]:
                 violations.append(Violation(
                     "not_automorphism", entry.ref(),
                     "antipodal action must be an automorphism", entry.line))
+    by_name = _by_name(db.homs)
     for assertion in db.assertions:
         entries = []
         for ref in assertion.refs:
-            entry, problem = _lookup(db.homs, ref, assertion.line)
+            entry, problem = _lookup(by_name, ref, assertion.line)
             if problem is not None:
                 violations.append(problem)
             entries.append(entry)

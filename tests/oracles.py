@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
+import re
+from types import MappingProxyType
+from typing import Optional, Sequence
 
 from nielsencalc.fgab import (
     FgAbGroup,
@@ -20,8 +22,21 @@ from nielsencalc.fgab import (
     Homomorphism,
     Subgroup,
     compose,
+    exact_at,
     in_image,
+    is_surjective,
     kernel,
+)
+from nielsencalc.homotopy_db import (
+    HOM_NAMES,
+    Assertion,
+    Database,
+    GroupEntry,
+    HomEntry,
+    HomRef,
+    SpaceId,
+    Violation,
+    _strip_comment,
 )
 
 
@@ -250,3 +265,284 @@ def reference_exact_at(left: Homomorphism, right: Homomorphism) -> bool:
     if not compose(right, left).is_zero_map():
         return False
     return all(in_image(left, k)[0] for k in kernel(right).generators)
+
+
+# ---------------------------------------------------------------------------
+# the nielsendb v1 grammar as seven regular expressions: homotopy_db's
+# parser, validation included, before it moved to str methods, which must
+# accept the same text and give the same entries and violations.  Moved
+# here verbatim; only SpaceId.parse, HomRef.parse and validate became the
+# functions _space_parse, _homref_parse and _validate.
+
+_SPHERE_RE = re.compile(r"S\(([0-9]+)\)")
+_SPACE_RE = re.compile(r"([VP])\(([RCH]),([0-9]+)\)")
+
+
+def _space_parse(text: str) -> SpaceId:
+    m = _SPHERE_RE.fullmatch(text)
+    if m:
+        return SpaceId.sphere(int(m.group(1)))
+    m = _SPACE_RE.fullmatch(text)
+    if m:
+        return SpaceId(m.group(1), m.group(2), int(m.group(3)))
+    raise ValueError(f"cannot parse space {text!r}")
+
+
+def _homref_parse(token: str) -> HomRef:
+    name, _, rest = token.partition(":")
+    if name not in HOM_NAMES:
+        raise ValueError(f"unknown homomorphism name {name!r}")
+    if not rest:
+        return HomRef(name)
+    src_text, arrow, tgt_text = rest.partition("->")
+    if not arrow:
+        raise ValueError(f"qualified hom reference {token!r} needs '->'")
+    return HomRef(name, _parse_space_m(src_text), _parse_space_m(tgt_text))
+
+
+# numbers are ASCII digits: \d and int() would also take other scripts'
+# digits, and int() a sign or underscores
+_GROUP_RE = re.compile(
+    r'^group\s+(\S+)\s+([0-9]+)\s*=\s*([0-9]+)\s*'
+    r'\[\s*((?:[0-9]+(?:\s*,\s*[0-9]+)*)?)\s*\]\s+gens\s+(\S+)'
+    r'\s+src\s+"([^"]*)"$')
+_HOM_RE = re.compile(
+    r'^hom\s+(\w+)\s+(\S+?),([0-9]+)\s*->\s*(\S+?),([0-9]+)\s+matrix\s+(\[.*\])'
+    r'\s+src\s+"([^"]*)"$')
+_VERSION_RE = re.compile(r'^nielsendb\s+(\S+)$')
+
+
+def _parse_space_m(text: str) -> tuple[SpaceId, int]:
+    space_text, comma, m_text = text.strip().rpartition(",")
+    if not comma or not (m_text.isascii() and m_text.isdigit()):
+        raise ValueError(f"expected <space>,<m>, got {text!r}")
+    return _space_parse(space_text.strip()), int(m_text)
+
+
+# A matrix literal is a list of rows, each a list of decimal integers
+# with an optional '-'.  The shape is checked by one non-nesting regular
+# expression, so bracket depth costs no recursion.
+_INT = r"-?(?:0|[1-9][0-9]*)"
+_ROW = rf"\[[ \t]*(?:{_INT}(?:[ \t]*,[ \t]*{_INT})*)?[ \t]*\]"
+_MATRIX_RE = re.compile(rf"\[[ \t]*(?:{_ROW}(?:[ \t]*,[ \t]*{_ROW})*)?[ \t]*\]")
+_ROW_RE = re.compile(r"\[([^\[\]]*)\]")
+
+
+def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
+    if not _MATRIX_RE.fullmatch(text):
+        raise ValueError("bad matrix literal: expected a list of rows of "
+                         "decimal integers, such as [[1,0],[-2,3]]")
+    rows = tuple(tuple(int(x) for x in body.split(",")) if body.strip() else ()
+                 for body in _ROW_RE.findall(text, 1, len(text) - 1))
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("matrix rows have unequal lengths")
+    return rows
+
+
+def _parse_text(text: str, origin: str):
+    version: Optional[str] = None
+    groups: dict[tuple[SpaceId, int], GroupEntry] = {}
+    homs: dict[tuple, HomEntry] = {}
+    assertions: list[Assertion] = []
+    violations: list[Violation] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _strip_comment(raw).strip()
+        if not line:
+            continue
+        if version is None:
+            m = _VERSION_RE.match(line)
+            if not m or m.group(1) != "v1":
+                violations.append(Violation(
+                    "parse", origin, "missing or unsupported version header "
+                    "(expected 'nielsendb v1')", lineno))
+                return None, violations
+            version = m.group(1)
+            continue
+        try:
+            _parse_line(groups, homs, assertions, line, lineno, violations)
+        except ValueError as exc:
+            violations.append(Violation("parse", origin, str(exc), lineno))
+    if version is None:
+        violations.append(Violation("parse", origin, "empty database file", 0))
+        return None, violations
+    return _build(version, groups, homs, assertions), violations
+
+
+def _build(version, groups, homs, assertions) -> Database:
+    """Resolve every hom entry against the groups and qualify every bare
+    assertion reference that names a single entry, so that
+    serialize(load(f)) parses back to an equal database."""
+    entries = []
+    for entry in homs.values():
+        hom, _ = _resolve(groups, entry)
+        entries.append(entry if hom is None
+                       else entry.replace(matrix=hom.matrix, hom=hom))
+    qualified = []
+    for assertion in assertions:
+        refs = []
+        for ref in assertion.refs:
+            entry, _ = _lookup(entries, ref, assertion.line)
+            refs.append(ref if entry is None else HomRef(*entry.key))
+        qualified.append(Assertion(assertion.kind, tuple(refs), assertion.line))
+    return Database(version, MappingProxyType(groups), tuple(entries),
+                    tuple(qualified))
+
+
+def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
+                lineno: int, violations: list[Violation]):
+    directive = line.split(None, 1)[0]
+    if directive == "group":
+        m = _GROUP_RE.match(line)
+        if not m:
+            raise ValueError("malformed group line")
+        space = _space_parse(m.group(1))
+        degree = int(m.group(2))
+        free_rank = int(m.group(3))
+        torsion_text = m.group(4)
+        torsion = tuple(int(x) for x in torsion_text.split(",")) if torsion_text else ()
+        labels_text = m.group(5)
+        labels = () if labels_text == "-" else tuple(labels_text.split(","))
+        subject = f"pi_{degree}({space})"
+        try:
+            group = FgAbGroup(free_rank, torsion)
+        except ValueError as exc:
+            violations.append(Violation("group_invariant", subject, str(exc), lineno))
+            return
+        if len(labels) != group.dim:
+            violations.append(Violation(
+                "group_invariant", subject,
+                f"{len(labels)} generator labels for {group.dim} generators", lineno))
+            return
+        entry = GroupEntry(space, degree, group, labels, m.group(6), lineno)
+        if entry.key in groups:
+            violations.append(Violation(
+                "duplicate", subject, "second entry for the same group", lineno))
+            return
+        groups[entry.key] = entry
+    elif directive == "hom":
+        m = _HOM_RE.match(line)
+        if not m:
+            raise ValueError("malformed hom line")
+        name = m.group(1)
+        if name not in HOM_NAMES:
+            violations.append(Violation(
+                "parse", name,
+                f"unknown homomorphism name (expected one of "
+                f"{', '.join(sorted(HOM_NAMES))})", lineno))
+            return
+        source = (_space_parse(m.group(2)), int(m.group(3)))
+        target = (_space_parse(m.group(4)), int(m.group(5)))
+        matrix = _parse_matrix(m.group(6))
+        entry = HomEntry(name, source, target, matrix, m.group(7), lineno)
+        if entry.key in homs:
+            violations.append(Violation(
+                "duplicate", entry.ref(), "second entry for the same homomorphism",
+                lineno))
+            return
+        homs[entry.key] = entry
+    elif directive in ("assert_exact", "assert_zero", "assert_surjective"):
+        exact = directive == "assert_exact"
+        refs = line.split()[1:]
+        if len(refs) != (2 if exact else 1):
+            raise ValueError(f"{directive} needs exactly " + (
+                "two hom references" if exact else "one hom reference"))
+        assertions.append(Assertion(directive.removeprefix("assert_"),
+                                    tuple(_homref_parse(r) for r in refs), lineno))
+    else:
+        raise ValueError(f"unrecognized directive {directive!r}")
+
+
+def _resolve(groups, entry: HomEntry):
+    """(map, None) for a well-defined entry, else (None, violation)."""
+    missing = [f"pi_{m}({space})" for space, m in (entry.source, entry.target)
+               if (space, m) not in groups]
+    if missing:
+        return None, Violation(
+            "dangling_ref", entry.ref(),
+            "references missing group entries: " + ", ".join(missing), entry.line)
+    try:
+        return Homomorphism(groups[entry.source].group, groups[entry.target].group,
+                            entry.matrix), None
+    except ValueError as exc:
+        return None, Violation("ill_defined", entry.ref(), str(exc), entry.line)
+
+
+def _lookup(entries, ref: HomRef, line: int):
+    """(entry, None) for the one entry ref names, else (None, violation)."""
+    found = [e for e in entries
+             if e.name == ref.name
+             and (ref.source is None or e.source == ref.source)
+             and (ref.target is None or e.target == ref.target)]
+    if len(found) == 1:
+        return found[0], None
+    if not found:
+        return None, Violation("unknown_hom", str(ref),
+                               "assertion references no homomorphism entry", line)
+    return None, Violation("ambiguous_ref", str(ref),
+                           "assertion matches several entries; qualify with "
+                           "name:SRC,m->TGT,m", line)
+
+
+def _validate(db: Database) -> list[Violation]:
+    """Check every invariant and recorded assertion; returns violations.
+
+    Never raises and changes nothing: a clean database yields an empty
+    list.
+    """
+    violations: list[Violation] = []
+    for entry in db.homs:
+        if entry.hom is None:
+            violations.append(_resolve(db.groups, entry)[1])
+        elif entry.name == "antipodal_A":
+            if entry.source != entry.target:
+                violations.append(Violation(
+                    "not_automorphism", entry.ref(),
+                    "antipodal action must be an endomorphism of one group",
+                    entry.line))
+            elif not is_surjective(entry.hom):
+                # a surjective endomorphism of a f.g. abelian group is
+                # injective (Hopfian), so surjectivity decides automorphy
+                violations.append(Violation(
+                    "not_automorphism", entry.ref(),
+                    "antipodal action must be an automorphism", entry.line))
+    for assertion in db.assertions:
+        entries = []
+        for ref in assertion.refs:
+            entry, problem = _lookup(db.homs, ref, assertion.line)
+            if problem is not None:
+                violations.append(problem)
+            entries.append(entry)
+        # an unresolved entry was already reported against the entry itself
+        if any(e is None or e.hom is None for e in entries):
+            continue
+        if assertion.kind == "zero":
+            if not entries[0].hom.is_zero_map():
+                violations.append(Violation(
+                    "assert_zero", entries[0].ref(),
+                    "asserted to vanish but is a nonzero map", assertion.line))
+        elif assertion.kind == "surjective":
+            if not is_surjective(entries[0].hom):
+                violations.append(Violation(
+                    "assert_surjective", entries[0].ref(),
+                    "asserted to be surjective but is not", assertion.line))
+        elif assertion.kind == "exact":
+            left, right = entries
+            if left.target != right.source:
+                violations.append(Violation(
+                    "assert_exact", f"{left.ref()} , {right.ref()}",
+                    "maps are not consecutive (left target differs from "
+                    "right source)", assertion.line))
+            elif not exact_at(left.hom, right.hom):
+                violations.append(Violation(
+                    "assert_exact", f"{left.ref()} , {right.ref()}",
+                    "image of the left map differs from the kernel of the "
+                    "right map", assertion.line))
+    return violations
+
+
+def reference_check(text: str, origin: str = "<string>"):
+    """homotopy_db.check as the regular-expression parser gave it."""
+    db, violations = _parse_text(text, origin)
+    if db is not None:
+        violations = violations + _validate(db)
+    return db, violations

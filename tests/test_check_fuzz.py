@@ -1,14 +1,16 @@
-"""Fuzz homotopy_db.check with database text built from a token soup.
+"""Fuzz homotopy_db.check with database text built from a token soup
+and from valid lines with a few characters edited.
 
 Whatever the text, check() reports problems as violations and never
-raises.
+raises, and it agrees with the regular-expression grammar of
+oracles.reference_check.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nielsencalc import homotopy_db as hdb
 
@@ -90,3 +92,87 @@ def test_check_never_raises(text):
     assert isinstance(violations, list)
     assert all(isinstance(v, hdb.Violation) for v in violations)
     assert db is not None or violations
+
+
+# ---------------------------------------------------------------------------
+# the str-method grammar against the seven regular expressions it replaced
+
+from oracles import reference_check  # noqa: E402
+
+# letters are few, so that most edits touch the punctuation and digits
+# the grammar turns on
+EDIT_ALPHABET = ' \t\xa0[],-=>"#()0123456789٥+_' + "SVPRCHagmrsx"
+
+# lines to edit: the valid database above, the version line, and lines
+# with whitespace wherever the grammar allows it
+GRAMMAR_LINES = VALID_LINES + [
+    "nielsendb v1",
+    "nielsendb\tv1",
+    'group V(C,2) 3=0[ 2 , 4 ]\tgens c,d src "z"',
+    'group S(2) 2 = 0 [] gens - src "#, \'quoted\' -> [x]"',
+    'hom proj_pK V(R,6),5->P(R,6),5 matrix [ [ 1 ] , [-0] ] src "s"',
+    'hom j_star S(6),6 ->S(5),5 matrix [\t[2,\t-3] ] src "r"',
+]
+
+
+_edits = st.lists(st.tuples(st.sampled_from(("insert", "delete", "replace")),
+                            st.integers(0, 99), st.sampled_from(EDIT_ALPHABET)),
+                  min_size=1, max_size=3)
+
+
+@st.composite
+def _edited_database(draw):
+    # one line of the valid database replaced by a grammar line with one
+    # to three characters inserted, deleted or replaced
+    chars = list(draw(st.sampled_from(GRAMMAR_LINES)))
+    for edit, k, char in draw(_edits):
+        k %= len(chars) + 1
+        if edit == "insert" or k == len(chars):
+            chars.insert(k, char)
+        elif edit == "delete":
+            del chars[k]
+        else:
+            chars[k] = char
+    lines = ["nielsendb v1"] + VALID_LINES
+    lines[draw(st.integers(0, len(lines) - 1))] = "".join(chars)
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(result):
+    db, violations = result
+    found = [(v.kind, v.subject, v.message, v.line) for v in violations]
+    if db is None:
+        return None, found
+    return (db.version,
+            [(e.key, e.group, e.labels, e.provenance, e.line)
+             for e in db.groups.values()],
+            [(e.key, e.matrix, e.provenance, e.line, e.hom is None)
+             for e in db.homs],
+            [(a.kind, a.refs, a.line) for a in db.assertions]), found
+
+
+def _rank_32_database():
+    gens = ",".join(f"g{k}" for k in range(32))
+    identity = " [ " + " , ".join(
+        "[ " + " , ".join("1" if i == j else "0" for j in range(32)) + " ]"
+        for i in range(32)) + " ] "
+    return ("nielsendb v1\n"
+            f'group S(2) 3 = 32 [] gens {gens} src "a"\n'
+            f'group S(3) 4 = 32 [] gens {gens} src "b"\n'
+            f'hom suspension_E S(2),3 -> S(3),4 matrix{identity}src "c"\n'
+            "assert_surjective suspension_E\n")
+
+
+@settings(max_examples=2000, deadline=None, database=None, derandomize=True)
+@given(st.one_of(_database_text(), _edited_database()))
+@example(_rank_32_database())
+@example("nielsendb v1\n" + "\n".join(VALID_LINES).replace("[[0]]", "[[-0]]"))
+@example('nielsendb v1\nhom suspension_E S(2)->x,2 -> S(3),3 matrix [[1]] src "c"')
+@example('nielsendb v1\nhom suspension_E S(2),2->S(3),3 -> S(4),4 matrix [[1]] src "c"')
+@example('nielsendb v1\nhom suspension_E S(2),2 -> S(3),3 matrix [[1,'
+         + "9" * 4301 + ']] src "c"')
+@example('nielsendb v1\nhom suspension_E S(2),2 -> S(3),3 matrix [[1],\xa0[2]] src "c"')
+@example('nielsendb v1\nhom suspension_E S(2),2 -> S(3),3 matrix [[01]] src "c"')
+@example('nielsendb v1\nhom 2nd_map S(2),2 -> S(3),3 matrix [[1]] src "c"')
+def test_grammar_agrees_with_the_regular_expressions(text):
+    assert _outcome(hdb.check(text)) == _outcome(reference_check(text))

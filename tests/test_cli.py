@@ -377,6 +377,25 @@ def test_argparse_is_imported_for_help_only():
     assert proc.stdout.strip() == "[False, False, True]"
 
 
+_NO_REGEX = """
+import contextlib, io, re, sys
+def refuse(pattern, flags):
+    raise AssertionError(f"compiled {pattern!r}")
+re._compile = refuse
+import nielsencalc.cli
+from nielsencalc import homotopy_db
+homotopy_db.load_default()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    print([nielsencalc.cli.main(argv) for argv in %r], file=sys.__stdout__)
+"""
+
+
+def test_import_load_and_text_commands_compile_no_regular_expression():
+    proc = _child("-c", _NO_REGEX % (README_COMMANDS,))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([0] * len(README_COMMANDS))
+
+
 # ---------------------------------------------------------------------------
 # the strict parser against argparse
 
@@ -411,11 +430,20 @@ def test_strict_parser_takes_the_documented_and_benchmarked_calls():
 def _outcome(argv):
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except Exception as exc:    # argparse stores [] for --m=--
-            code = type(exc).__name__
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("option", ["--m", "--K", "--f1", "--db", "--output",
+                                    "--residue1"])
+def test_option_given_as_double_dash_is_a_usage_error(option):
+    # argparse drops the value of --name=-- and stores []
+    argv = ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "1",
+            "--f2", "1", f"{option}=--"]
+    code, out, err = _outcome(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: nielsencalc")
+    assert err.endswith(f"error: argument {option}: expected one argument\n")
 
 
 _GOOD_INTS = ("0", "1", "2", "5", "6", "11")

@@ -51,6 +51,11 @@ ERROR_COMMANDS = [
     # a database that contradicts the seven-case table
     ["classify", "--K", "R", "--m", "6", "--nprime", "6", "--f1", "1", "--f2", "1",
      "--db", "inconsistent.nielsendb"],
+    # parse errors: one malformed line of each kind, and a bad version header
+    ["db-validate", "--db", "malformed.nielsendb"],
+    ["classify", "--K", "R", "--m", "3", "--nprime", "2", "--f1", "1", "--f2", "1",
+     "--db", "malformed.nielsendb"],
+    ["db-validate", "--db", "badversion.nielsendb"],
 ]
 
 # help, a bad choice, an abbreviated option name and a negative value in
@@ -78,6 +83,23 @@ INCONSISTENT_DB = (
     'hom suspension_E S(5),5 -> S(6),6 matrix [[1]] src "iso"\n'
     'hom antipodal_A S(6),6 -> S(6),6 matrix [[1]] src "wrong on purpose"\n')
 
+# a malformed group line, a malformed hom line, a bad matrix literal,
+# ragged rows, an unparsable space and an unknown hom name
+MALFORMED_DB = (
+    "nielsendb v1\n"
+    'group S(2) 3 = 1 [] gens eta src "Hopf"\n'
+    'group S(3) 3 = 1 [] gens iota src "degree"\n'
+    'group S(2) 2 = 1 [2 gens iota src "unclosed torsion"\n'
+    'hom suspension_E S(2),3 S(3),4 matrix [[1]] src "no arrow"\n'
+    'hom suspension_E S(2),3 -> S(3),4 matrix [[1,]] src "trailing comma"\n'
+    'hom hopf_H S(3),3 -> S(2),3 matrix [[1,0],[1]] src "ragged"\n'
+    'group Q(2) 4 = 1 [] gens a src "no such space"\n'
+    'hom frobnicate S(2),3 -> S(3),3 matrix [[1]] src "no such map"\n')
+
+BAD_VERSION_DB = ("# a version this reader does not know\n"
+                  "nielsendb v1.1\n"
+                  'group S(3) 3 = 1 [] gens iota src "degree"\n')
+
 
 def _write_databases(directory: Path):
     corrupt = homotopy_db.default_db_text().replace(
@@ -86,6 +108,9 @@ def _write_databases(directory: Path):
     (directory / "corrupt.nielsendb").write_text(corrupt, encoding="utf-8")
     (directory / "inconsistent.nielsendb").write_text(INCONSISTENT_DB,
                                                       encoding="utf-8")
+    (directory / "malformed.nielsendb").write_text(MALFORMED_DB, encoding="utf-8")
+    (directory / "badversion.nielsendb").write_text(BAD_VERSION_DB,
+                                                    encoding="utf-8")
 
 
 def _run(argv):
