@@ -14,7 +14,9 @@ validated database:
 The classification consumes only the lift component of a projective
 class: the complementary residue component never changes the numbers
 and is merely echoed back as a note.  Everything it reads from the
-database for one (K, m, n') comes from a single ProjectiveSlice.
+database for one (K, m, n') comes from a single ProjectiveSlice.  Past
+its parent checks a query reads canonical coordinates and returns a
+shared immutable answer (the circle's alone is built per call).
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class Infinity:
 
 INF = Infinity()
 
-Count = Union[int, Infinity]
+Count = int | Infinity     # typing.Union would cost ~50 µs at import
 
 
 class ClassificationError(ValueError):
@@ -201,9 +203,11 @@ class ProjectiveSlice(Frozen):
             s = db._slices.setdefault(key, cls(
                 K, m, nprime, lift_key, lift_group, boundary, suspension,
                 antipodal))
-        if any(lift.parent != s.lift_group for lift in lifts):
-            raise ClassificationError(
-                f"lift must live in pi_{m}({s.lift_key[0]}) = {s.lift_group}")
+        group = s.lift_group
+        for lift in lifts:
+            if lift.parent is not group and lift.parent != group:
+                raise ClassificationError(
+                    f"lift must live in pi_{m}({s.lift_key[0]}) = {group}")
         if residues:
             d = FIELD_DIMS[K]
             residue_group = db.require_group(SpaceId.sphere(d - 1), m - 1)
@@ -282,22 +286,25 @@ class SpaceFormQuery(Frozen, defaults={"domain_case": "sphere"}):
 
 def table_conditions(db: Database, f1: ProjectiveClass,
                      f2: ProjectiveClass) -> tuple[bool, ...]:
-    """Evaluate the seven case conditions literally, in table order."""
+    """Evaluate the seven case conditions literally, in table order, on
+    canonical coordinates: resolve has checked the lifts' parents."""
     if (f1.K, f1.m, f1.nprime) != (f2.K, f2.m, f2.nprime):
         raise ClassificationError("the two classes must share (K, m, n')")
     s = ProjectiveSlice.resolve(
         db, f1.K, f1.m, f1.nprime, (f1.lift, f2.lift),
         tuple(f.residue for f in (f1, f2) if f.residue is not None))
-    lift1, lift2 = f1.lift, f2.lift
-    b2 = s.boundary.hom(lift2)
-    eb2 = s.suspension.hom(b2)
+    lift1, lift2 = f1.lift.coords, f2.lift.coords
+    b2 = s.boundary.hom._apply(lift2)
+    b2_zero = not any(b2)
+    eb2_zero = not any(s.suspension.hom._apply(b2))
     if s.K == "R":
-        a2 = s.antipodal.hom(lift2)
+        a2 = s.antipodal.hom._apply(lift2)
         free_homotopic = lift1 == lift2 or lift1 == a2
-        diff_in_im_e = _image_contains(s.suspension.hom, lift1 - lift2)
+        diff_in_im_e = _image_contains(
+            s.suspension.hom, [a - b for a, b in zip(lift1, lift2)])
         return (
-            free_homotopic and b2.is_zero,
-            free_homotopic and eb2.is_zero and not b2.is_zero,
+            free_homotopic and b2_zero,
+            free_homotopic and eb2_zero and not b2_zero,
             free_homotopic and lift2 != a2,
             not free_homotopic and diff_in_im_e,
             not diff_in_im_e,
@@ -306,14 +313,22 @@ def table_conditions(db: Database, f1: ProjectiveClass,
         )
     equal = lift1 == lift2
     return (
-        equal and b2.is_zero,
-        equal and eb2.is_zero and not b2.is_zero,
+        equal and b2_zero,
+        equal and eb2_zero and not b2_zero,
         False,
         False,
         False,
-        equal and not eb2.is_zero,
+        equal and not eb2_zero,
         not equal,
     )
+
+
+_CASE_ANSWERS = {
+    (case, residue): CoincidenceAnswer(
+        case, CASE_CONDITIONS[case], *_CASE_TRIPLES[case],
+        omega_sharp_zero=case in (1, 2), loose=case == 1,
+        notes=("residue present, numbers unaffected",) if residue else ())
+    for case in CASE_CONDITIONS for residue in (False, True)}
 
 
 def classify_projective(db: Database, f1: ProjectiveClass,
@@ -326,8 +341,8 @@ def classify_projective(db: Database, f1: ProjectiveClass,
     names the entries involved.
     """
     conditions = table_conditions(db, f1, f2)
-    fired = [i + 1 for i, holds in enumerate(conditions) if holds]
-    if len(fired) != 1:
+    if conditions.count(True) != 1:
+        fired = [i + 1 for i, holds in enumerate(conditions) if holds]
         # table_conditions resolved and memoised the slice
         s = db._slices[(f1.K, f1.m, f1.nprime, True)]
         refs = ", ".join(e.ref() for e in (s.boundary, s.suspension, s.antipodal)
@@ -338,16 +353,20 @@ def classify_projective(db: Database, f1: ProjectiveClass,
             f"{what} for (K={f1.K}, m={f1.m}, n'={f1.nprime}, lifts "
             f"{f1.lift.coords}/{f2.lift.coords}); the entries {refs} "
             f"contradict the seven-case table")
-    case = fired[0]
-    residue = any(f.residue is not None and not f.residue.is_zero for f in (f1, f2))
-    return CoincidenceAnswer(
-        case, CASE_CONDITIONS[case], *_CASE_TRIPLES[case],
-        omega_sharp_zero=case in (1, 2), loose=case == 1,
-        notes=("residue present, numbers unaffected",) if residue else ())
+    residue = ((f1.residue is not None and not f1.residue.is_zero)
+               or (f2.residue is not None and not f2.residue.is_zero))
+    return _CASE_ANSWERS[conditions.index(True) + 1, residue]
 
 
 # ---------------------------------------------------------------------------
 # sphere targets
+
+_SPHERE_LOOSE = CoincidenceAnswer("sphere-loose", "f_1 ~ A∘f_2", 0, 0, 0,
+                                  omega_sharp_zero=True, loose=True)
+_SPHERE_ESSENTIAL = CoincidenceAnswer(
+    "sphere-essential", "f_1 !~ A∘f_2: one Reidemeister class, strongly "
+    "essential", 1, 1, 1, omega_sharp_zero=False, loose=False)
+
 
 def classify_sphere_target(db: Database, m: int, n: int,
                            class1: GroupElement, class2: GroupElement,
@@ -362,26 +381,22 @@ def classify_sphere_target(db: Database, m: int, n: int,
     """
     if m < 1 or n < 1:
         raise ClassificationError("m and n must be >= 1")
-    group = db.require_group(SpaceId.sphere(n), m)
+    key = (db._spheres.get(n) or SpaceId.sphere(n), m)
+    group = db.require_group(*key)
     for c in (class1, class2):
-        if c.parent != group:
+        if c.parent is not group and c.parent != group:
             raise ClassificationError(
                 f"classes must live in pi_{m}(S({n})) = {group}")
     if antipodally_related is None:
         if group.is_trivial:
             related = True
         else:
-            key = (SpaceId.sphere(n), m)
             antipodal = db.require_hom("antipodal_A", key, key)
-            related = class1 == antipodal(class2)
+            related = class1.coords == antipodal._apply(class2.coords)
     else:
         related = bool(antipodally_related)
     if related:
-        return CoincidenceAnswer(
-            case_id="sphere-loose",
-            condition="f_1 ~ A∘f_2",
-            nielsen=0, mcc=0, mc=0,
-            omega_sharp_zero=True, loose=True)
+        return _SPHERE_LOOSE
     if m == 1 and n == 1:
         count = abs(class1.coords[0] - class2.coords[0])
         return CoincidenceAnswer(
@@ -397,11 +412,7 @@ def classify_sphere_target(db: Database, m: int, n: int,
             "antipodally related")
     # m = 1 with n > 1 only carries trivial (hence related) classes, so
     # here m, n >= 2 and the Reidemeister set is a singleton
-    return CoincidenceAnswer(
-        case_id="sphere-essential",
-        condition="f_1 !~ A∘f_2: one Reidemeister class, strongly essential",
-        nielsen=1, mcc=1, mc=1,
-        omega_sharp_zero=False, loose=False)
+    return _SPHERE_ESSENTIAL
 
 
 # ---------------------------------------------------------------------------

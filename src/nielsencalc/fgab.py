@@ -15,7 +15,10 @@ cokernel of exact_at's left map; V for kernel and image types
 (exact_at's right map, Subgroup.isomorphism_type); U for membership
 without a witness (in_subgroup, the classifier's im E test); both for
 in_image.  exact_at compares invariant factors, which suffices
-because f.g. abelian groups are Hopfian.  All integers are arbitrary
+because f.g. abelian groups are Hopfian.  A query that holds canonical
+coordinates needs no GroupElement: Homomorphism._apply maps them to
+canonical target coordinates and _image_contains tests them against
+im(h), neither checking its input.  All integers are arbitrary
 precision and every value is immutable after construction, so values
 can be shared freely between threads.
 """
@@ -313,7 +316,7 @@ class GroupElement(Frozen):
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def _check_same_parent(self, other: "GroupElement"):
         if not isinstance(other, GroupElement) or other.parent != self.parent:
@@ -399,14 +402,8 @@ class Homomorphism(Frozen):
         setfield(self, "matrix", canon)
         setfield(self, "_snf_cache", None)
         setfield(self, "_key", (source, target, canon))
-        sf = source.free_rank
-        for j in range(source.dim):
-            if j < sf:
-                continue
-            d = source.torsion[j - sf]
-            image_times_d = target.element([d * self.matrix[i][j]
-                                            for i in range(target.dim)])
-            if not image_times_d.is_zero:
+        for j, d in enumerate(source.torsion, source.free_rank):
+            if not target.element([d * row[j] for row in canon]).is_zero:
                 raise ValueError(
                     f"ill-defined homomorphism: {d} * image of generator {j} "
                     f"is nonzero in {target}")
@@ -415,6 +412,12 @@ class Homomorphism(Frozen):
         if not isinstance(x, GroupElement) or x.parent != self.source:
             raise ValueError("parent mismatch: element is not in the source group")
         return self.target.element(_mat_vec(self.matrix, x.coords))
+
+    def _apply(self, coords: Sequence[int]) -> tuple[int, ...]:
+        """Canonical image coordinates of unchecked source coordinates."""
+        image = _mat_vec(self.matrix, coords)
+        fr = self.target.free_rank
+        return (*image[:fr], *map(int.__mod__, image[fr:], self.target.torsion))
 
     def is_zero_map(self) -> bool:
         # rows are stored reduced modulo the target torsion, so the map
@@ -541,12 +544,10 @@ def in_image(h: Homomorphism, y: GroupElement):
          for i in range(h.source.dim)])
 
 
-def _image_contains(h: Homomorphism, y: GroupElement) -> bool:
-    """Decide y in im(h) from U alone: no V and no witness."""
-    if not isinstance(y, GroupElement) or y.parent != h.target:
-        raise ValueError("parent mismatch: element is not in the target group")
+def _image_contains(h: Homomorphism, coords: Sequence[int]) -> bool:
+    """Membership in im(h) of unchecked, maybe unreduced coordinates; U alone."""
     u, d, _, rank, _, _ = h._augmented(want_u=True, want_v=False)
-    return _snf_coords(u, d, rank, y.coords) is not None
+    return _snf_coords(u, d, rank, coords) is not None
 
 
 def _image_type(h: Homomorphism) -> FgAbGroup:
@@ -562,7 +563,7 @@ def in_subgroup(s: Subgroup, y: GroupElement) -> bool:
     """Is y an integer combination of the subgroup's generators?"""
     if not isinstance(y, GroupElement) or y.parent != s.ambient:
         raise ValueError("parent mismatch: element is not in the ambient group")
-    return _image_contains(s._assembly(), y)
+    return _image_contains(s._assembly(), y.coords)
 
 
 def is_injective(h: Homomorphism) -> bool:

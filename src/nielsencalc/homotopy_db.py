@@ -176,7 +176,7 @@ class HomRef(Frozen, defaults={"source": None, "target": None}):
     __slots__ = ("name", "source", "target")
 
     @classmethod
-    def parse(cls, token: str) -> "HomRef":
+    def parse(cls, token: str, spaces: dict) -> "HomRef":
         name, _, rest = token.partition(":")
         if name not in HOM_NAMES:
             raise ValueError(f"unknown homomorphism name {name!r}")
@@ -185,7 +185,8 @@ class HomRef(Frozen, defaults={"source": None, "target": None}):
         src_text, arrow, tgt_text = rest.partition("->")
         if not arrow:
             raise ValueError(f"qualified hom reference {token!r} needs '->'")
-        return cls(name, _parse_space_m(src_text), _parse_space_m(tgt_text))
+        return cls(name, _parse_space_m(src_text, spaces),
+                   _parse_space_m(tgt_text, spaces))
 
     def __str__(self):
         if self.source is None:
@@ -215,17 +216,24 @@ class Database(Frozen):
 
     groups is a read-only mapping from (space, m) to GroupEntry; homs
     keeps file order, and lookups go through an index keyed by (name,
-    source, target).  _slices memoises the resolved data of each
-    projective slice (classifier.ProjectiveSlice.resolve); it is derived
-    from the entries, so == and serialize ignore it.
+    source, target).  Each resolved map runs between its entry's groups,
+    so queries apply it to bare coordinates.  _spheres maps n to the S(n)
+    of the group keys and _slices memoises each resolved projective slice
+    (classifier.ProjectiveSlice.resolve); == and serialize ignore both.
     """
 
     __slots__ = ("version", "groups", "homs", "assertions", "_hom_index",
-                 "_slices")
+                 "_spheres", "_slices")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        groups = {key: entry.group for key, entry in self.groups.items()}
+        if any(e.hom is not None and (e.hom.source, e.hom.target)
+               != (groups.get(e.source), groups.get(e.target)) for e in self.homs):
+            raise ValueError("a hom entry's map is not between its groups")
         setfield(self, "_hom_index", {e.key: e for e in self.homs})
+        setfield(self, "_spheres", {space.index: space for space, _ in groups
+                                    if space.kind == "S"})
         setfield(self, "_slices", {})
 
     # -- lookups ------------------------------------------------------------
@@ -292,11 +300,18 @@ def _strip_comment(raw: str) -> str:
     return raw if end < 0 else raw[:end]
 
 
-def _parse_space_m(text: str) -> tuple[SpaceId, int]:
+def _space(spaces: dict, text: str) -> SpaceId:
+    """SpaceId.parse(text), built once per load: spaces maps text to it."""
+    if text not in spaces:
+        spaces[text] = SpaceId.parse(text)
+    return spaces[text]
+
+
+def _parse_space_m(text: str, spaces: dict) -> tuple[SpaceId, int]:
     space_text, comma, m_text = text.strip().rpartition(",")
     if not comma or not _digits(m_text):
         raise ValueError(f"expected <space>,<m>, got {text!r}")
-    return SpaceId.parse(space_text.strip()), int(m_text)
+    return _space(spaces, space_text.strip()), int(m_text)
 
 
 def _split_line(line: str):
@@ -372,6 +387,7 @@ def _parse_text(text: str, origin: str):
     homs: dict[tuple, tuple] = {}   # key -> (matrix, provenance, line)
     assertions: list[Assertion] = []
     violations: list[Violation] = []
+    spaces: dict[str, SpaceId] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -385,7 +401,8 @@ def _parse_text(text: str, origin: str):
             version = "v1"
             continue
         try:
-            _parse_line(groups, homs, assertions, line, lineno, violations)
+            _parse_line(groups, homs, assertions, spaces, line, lineno,
+                        violations)
         except ValueError as exc:
             violations.append(Violation("parse", origin, str(exc), lineno))
     if version is None:
@@ -415,8 +432,8 @@ def _build(version, groups, homs, assertions) -> Database:
                     tuple(qualified))
 
 
-def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
-                lineno: int, violations: list[Violation]):
+def _parse_line(groups: dict, homs: dict, assertions: list, spaces: dict,
+                line: str, lineno: int, violations: list[Violation]):
     directive = line.split(None, 1)[0]
     if directive == "group":
         _, space, rest, provenance = _split_line(line) or ("",) * 4
@@ -428,7 +445,7 @@ def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
         if not (rest[:1].isspace() and len(gens) == 2 and gens[0] == "gens" and all(
                 map(_digits, [degree.rstrip(), free_rank.strip(), *torsion]))):
             raise ValueError("malformed group line")
-        space, degree, free_rank = SpaceId.parse(space), int(degree), int(free_rank)
+        space, degree, free_rank = _space(spaces, space), int(degree), int(free_rank)
         torsion = tuple(map(int, torsion))
         labels = () if gens[1] == "-" else tuple(gens[1].split(","))
         subject = f"pi_{degree}({space})"
@@ -459,8 +476,8 @@ def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
                 f"unknown homomorphism name (expected one of "
                 f"{', '.join(sorted(HOM_NAMES))})", lineno))
             return
-        key = (name, (SpaceId.parse(source), int(source_m)),
-               (SpaceId.parse(target), int(target_m)))
+        key = (name, (_space(spaces, source), int(source_m)),
+               (_space(spaces, target), int(target_m)))
         matrix = _parse_matrix(matrix)
         if key in homs:
             violations.append(Violation(
@@ -475,7 +492,8 @@ def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
             raise ValueError(f"{directive} needs exactly " + (
                 "two hom references" if exact else "one hom reference"))
         assertions.append(Assertion(directive.removeprefix("assert_"),
-                                    tuple(HomRef.parse(r) for r in refs), lineno))
+                                    tuple(HomRef.parse(r, spaces) for r in refs),
+                                    lineno))
     else:
         raise ValueError(f"unrecognized directive {directive!r}")
 

@@ -96,9 +96,9 @@ def self_verdict(db: Database, K: str, m: int, nprime: int,
     loose by small deformation iff boundary(lift) = 0, and the invariant
     vanishes iff E(boundary(lift)) = 0."""
     s = ProjectiveSlice.resolve(db, K, m, nprime, (lift,), with_antipodal=False)
-    b = s.boundary.hom(lift)
-    return LoosenessVerdict(K, m, nprime, small_deformation=b.is_zero,
-                            omega_sharp_zero=s.suspension.hom(b).is_zero)
+    b = s.boundary.hom._apply(lift.coords)
+    return LoosenessVerdict(K, m, nprime, small_deformation=not any(b),
+                            omega_sharp_zero=not any(s.suspension.hom._apply(b)))
 
 
 def criteria_equivalence_iii(criterion: StructuralCriterion) -> bool:

@@ -2,10 +2,10 @@
 
 Everything here is deliberately naive: exhaustive enumeration, fraction
 free determinants, closure of generating sets.  The brute-force oracles
-share no code with the lattice machinery they check.  reference_snf and
-reference_exact_at are frozen earlier algorithms instead, which faster
-code must agree with; reference_exact_at relies on kernel and in_image,
-which the enumeration oracles check.
+share no code with the lattice machinery they check.  reference_snf,
+reference_exact_at and reference_table_conditions are frozen earlier
+algorithms instead, which faster code must agree with; the last two rely
+on kernel and in_image, which the enumeration oracles check.
 """
 
 from __future__ import annotations
@@ -16,6 +16,11 @@ import re
 from types import MappingProxyType
 from typing import Optional, Sequence
 
+from nielsencalc.classifier import (
+    ClassificationError,
+    ProjectiveClass,
+    ProjectiveSlice,
+)
 from nielsencalc.fgab import (
     FgAbGroup,
     GroupElement,
@@ -265,6 +270,45 @@ def reference_exact_at(left: Homomorphism, right: Homomorphism) -> bool:
     if not compose(right, left).is_zero_map():
         return False
     return all(in_image(left, k)[0] for k in kernel(right).generators)
+
+
+def reference_table_conditions(db: Database, f1: ProjectiveClass,
+                               f2: ProjectiveClass) -> tuple[bool, ...]:
+    """classifier.table_conditions as it was before it moved to coordinate
+    tuples: the conditions evaluated on GroupElements.  Copied verbatim,
+    except that the im E test, then a private helper taking an element,
+    is in_image's found."""
+    if (f1.K, f1.m, f1.nprime) != (f2.K, f2.m, f2.nprime):
+        raise ClassificationError("the two classes must share (K, m, n')")
+    s = ProjectiveSlice.resolve(
+        db, f1.K, f1.m, f1.nprime, (f1.lift, f2.lift),
+        tuple(f.residue for f in (f1, f2) if f.residue is not None))
+    lift1, lift2 = f1.lift, f2.lift
+    b2 = s.boundary.hom(lift2)
+    eb2 = s.suspension.hom(b2)
+    if s.K == "R":
+        a2 = s.antipodal.hom(lift2)
+        free_homotopic = lift1 == lift2 or lift1 == a2
+        diff_in_im_e = in_image(s.suspension.hom, lift1 - lift2)[0]
+        return (
+            free_homotopic and b2.is_zero,
+            free_homotopic and eb2.is_zero and not b2.is_zero,
+            free_homotopic and lift2 != a2,
+            not free_homotopic and diff_in_im_e,
+            not diff_in_im_e,
+            False,
+            False,
+        )
+    equal = lift1 == lift2
+    return (
+        equal and b2.is_zero,
+        equal and eb2.is_zero and not b2.is_zero,
+        False,
+        False,
+        False,
+        equal and not eb2.is_zero,
+        not equal,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -428,7 +428,7 @@ def test_transforms_added_to_the_cache_on_demand():
         by_kernel = Homomorphism(src, tgt, matrix)
         by_membership = Homomorphism(src, tgt, matrix)
         kernel_gens = kernel(by_kernel).generators
-        assert ([_image_contains(by_membership, y) for y in ys]
+        assert ([_image_contains(by_membership, y.coords) for y in ys]
                 == [found for found, _ in fresh])
         assert by_membership._snf_cache[2] is None
         for h in (by_kernel, by_membership):
