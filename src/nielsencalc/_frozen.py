@@ -6,24 +6,31 @@ that == and hash ignore as class keywords.  Frozen gives it a
 constructor taking fields by position or keyword, == and hash over _key
 (the tuple of compared fields), a dataclass-style repr, replace() and
 pickling, and refuses assignment and deletion, compiling nothing per
-class.  A class built on every query writes __init__ out, setting each
-field once with setfield, and stores _key in a slot of its own; for the
-others _key is computed when == or hash asks for it.
+class.  A subclass writes __init__ only to check or canonicalise its
+inputs, then passes the fields to Frozen.__init__ by position.  A class
+hashed on every query (SpaceId, a dict key of Database lookups) declares
+a _key slot, which Frozen.__init__ fills; for the others _key is
+computed when == or hash asks for it.  LoosenessVerdict, which every
+self_verdict builds, sets its fields with setfield instead, at half the
+cost of the generic constructor.
 """
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 setfield = object.__setattr__
 
 
 class Frozen:
     __slots__ = ()
+    _key_from = None    # picks _key out of the fields for a class storing it
 
     def __init_subclass__(cls, defaults=None, uncompared=()):
         cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
         cls._defaults = defaults or {}
         cls._compared = tuple(n for n in cls._fields if n not in uncompared)
-        if "_key" not in cls.__slots__:
+        if "_key" in cls.__slots__:
+            cls._key_from = itemgetter(*map(cls._fields.index, cls._compared))
+        else:
             cls._key = property(attrgetter(*cls._compared))
 
     def __init__(self, *args, **kwargs):
@@ -36,6 +43,8 @@ class Frozen:
             args = [values[field] for field in fields]
         for field, value in zip(fields, args):
             setfield(self, field, value)
+        if self._key_from is not None:
+            setfield(self, "_key", self._key_from(args))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r}")

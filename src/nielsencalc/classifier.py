@@ -24,9 +24,9 @@ from __future__ import annotations
 from functools import total_ordering
 from typing import Optional, Union
 
-from ._frozen import Frozen, setfield
-from .fgab import FgAbGroup, GroupElement, _image_contains
-from .homotopy_db import FIELD_DIMS, Database, HomEntry, SpaceId
+from ._frozen import Frozen
+from .fgab import GroupElement, _image_contains
+from .homotopy_db import FIELD_DIMS, Database, SpaceId
 
 __all__ = [
     "INF",
@@ -128,21 +128,7 @@ class ProjectiveClass(Frozen):
         if K == "R" and residue is not None and not residue.is_zero:
             raise ClassificationError(
                 "for K = R the residue group is trivial; drop the residue")
-        setfield(self, "K", K)
-        setfield(self, "m", m)
-        setfield(self, "nprime", nprime)
-        setfield(self, "lift", lift)
-        setfield(self, "residue", residue)
-
-    # == and hash without a stored _key, to keep instances small
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.K, self.m, self.nprime, self.lift, self.residue) == (
-            other.K, other.m, other.nprime, other.lift, other.residue)
-
-    def __hash__(self):
-        return hash((self.K, self.m, self.nprime, self.lift, self.residue))
+        super().__init__(K, m, nprime, lift, residue)
 
 
 class ProjectiveSlice(Frozen):
@@ -155,22 +141,7 @@ class ProjectiveSlice(Frozen):
     """
 
     __slots__ = ("K", "m", "nprime", "lift_key", "lift_group", "boundary",
-                 "suspension", "antipodal", "_key")
-
-    def __init__(self, K: str, m: int, nprime: int,
-                 lift_key: tuple[SpaceId, int], lift_group: FgAbGroup,
-                 boundary: HomEntry, suspension: HomEntry,
-                 antipodal: Optional[HomEntry]):
-        setfield(self, "K", K)
-        setfield(self, "m", m)
-        setfield(self, "nprime", nprime)
-        setfield(self, "lift_key", lift_key)
-        setfield(self, "lift_group", lift_group)
-        setfield(self, "boundary", boundary)
-        setfield(self, "suspension", suspension)
-        setfield(self, "antipodal", antipodal)
-        setfield(self, "_key", (K, m, nprime, lift_key, lift_group, boundary,
-                                suspension, antipodal))
+                 "suspension", "antipodal")
 
     @classmethod
     def resolve(cls, db: Database, K: str, m: int, nprime: int,
@@ -225,7 +196,7 @@ class CoincidenceAnswer(Frozen):
     """
 
     __slots__ = ("case_id", "condition", "nielsen", "mcc", "mc",
-                 "omega_sharp_zero", "loose", "notes", "_key")
+                 "omega_sharp_zero", "loose", "notes")
 
     def __init__(self, case_id: Union[int, str], condition: str,
                  nielsen: Optional[int], mcc: Optional[int], mc: Optional[Count],
@@ -235,16 +206,8 @@ class CoincidenceAnswer(Frozen):
             raise ClassificationError("invariant violated: N# <= MCC")
         if None not in (mcc, mc) and not mcc <= mc:
             raise ClassificationError("invariant violated: MCC <= MC")
-        setfield(self, "case_id", case_id)
-        setfield(self, "condition", condition)
-        setfield(self, "nielsen", nielsen)
-        setfield(self, "mcc", mcc)
-        setfield(self, "mc", mc)
-        setfield(self, "omega_sharp_zero", omega_sharp_zero)
-        setfield(self, "loose", loose)
-        setfield(self, "notes", notes)
-        setfield(self, "_key", (case_id, condition, nielsen, mcc, mc,
-                                omega_sharp_zero, loose, notes))
+        super().__init__(case_id, condition, nielsen, mcc, mc,
+                         omega_sharp_zero, loose, notes)
 
     @property
     def triple(self):
@@ -343,8 +306,7 @@ def classify_projective(db: Database, f1: ProjectiveClass,
     conditions = table_conditions(db, f1, f2)
     if conditions.count(True) != 1:
         fired = [i + 1 for i, holds in enumerate(conditions) if holds]
-        # table_conditions resolved and memoised the slice
-        s = db._slices[(f1.K, f1.m, f1.nprime, True)]
+        s = ProjectiveSlice.resolve(db, f1.K, f1.m, f1.nprime, ())
         refs = ", ".join(e.ref() for e in (s.boundary, s.suspension, s.antipodal)
                          if e is not None)
         what = (f"conditions {fired} fired" if fired

@@ -158,11 +158,16 @@ def _echo(db: Database, space: SpaceId, m: int, name: str, x: GroupElement):
           file=sys.stderr)
 
 
-def _load_db(args) -> Database:
+def _db_text(args) -> tuple[str, str]:
+    """Text and origin of the database: --db, else $NIELSEN_DB, else shipped."""
     path = args.db or os.environ.get("NIELSEN_DB")
     if path:
-        return homotopy_db.load(path)
-    return homotopy_db.load_default()
+        return homotopy_db.read_db_text(path), str(path)
+    return homotopy_db.default_db_text(), "<default>"
+
+
+def _load_db(args) -> Database:
+    return homotopy_db.loads(*_db_text(args))
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +238,7 @@ def _cmd_spaceform(args) -> int:
 
 
 def _cmd_db_validate(args) -> int:
-    path = args.db or os.environ.get("NIELSEN_DB")
-    origin = str(path) if path else "<default>"
-    text = (homotopy_db.read_db_text(path) if path
-            else homotopy_db.default_db_text())
+    text, origin = _db_text(args)
     db, violations = homotopy_db.check(text, origin)
     if violations:
         for v in violations:

@@ -11,16 +11,18 @@ image of source generator j.
 Everything reduces to Smith normal form over Z.  Each homomorphism
 caches one SNF of its augmented matrix [matrix | target relations], with
 only the transforms asked for so far: D alone for is_surjective and the
-cokernel of exact_at's left map; V for kernel and image types
+cokernel of exact_at's left map; V for kernel, is_injective and
+paired_injective (a kernel of a composite) and for image types
 (exact_at's right map, Subgroup.isomorphism_type); U for membership
-without a witness (in_subgroup, the classifier's im E test); both for
-in_image.  exact_at compares invariant factors, which suffices
-because f.g. abelian groups are Hopfian.  A query that holds canonical
-coordinates needs no GroupElement: Homomorphism._apply maps them to
-canonical target coordinates and _image_contains tests them against
-im(h), neither checking its input.  All integers are arbitrary
-precision and every value is immutable after construction, so values
-can be shared freely between threads.
+without a witness (in_subgroup, on the assembly map each Subgroup builds
+once, and the classifier's im E test); both for in_image.  exact_at
+compares invariant factors, which suffices because f.g. abelian groups
+are Hopfian.  A query that holds canonical coordinates needs no
+GroupElement: Homomorphism._apply maps them to canonical target
+coordinates and _image_contains tests them against im(h), neither
+checking its input.  All integers are arbitrary precision and every
+value is immutable after construction, so values can be shared freely
+between threads.
 """
 
 from __future__ import annotations
@@ -73,11 +75,12 @@ def _snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int,
     as the entry of minimal absolute value, first occurrence in row-major
     order; this makes the output deterministic.  U is None unless want_u
     and V is None unless want_v; the pivots and D do not depend on them.
-    kernel, paired_injective and _image_type (the right map of exact_at,
-    Subgroup.isomorphism_type) want V; _image_contains (in_subgroup, the
-    classifier's im E test) wants U; in_image wants both, and so does
-    smith_normal_form, which transposes V; is_surjective, the left map of
-    exact_at and FgAbGroup.from_presentation want neither.
+    kernel (and through it paired_injective), is_injective and _image_type
+    (the right map of exact_at, Subgroup.isomorphism_type) want V;
+    _image_contains (in_subgroup, the classifier's im E test) wants U;
+    in_image wants both, and so does smith_normal_form, which transposes
+    V; is_surjective, the left map of exact_at and
+    FgAbGroup.from_presentation want neither.
 
     Step t works on the active block, rows and columns t onwards: a row
     operation updates row[t:], a column operation only the rows with a
@@ -215,7 +218,7 @@ class FgAbGroup(Frozen):
     3
     """
 
-    __slots__ = ("free_rank", "torsion", "_key")
+    __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int = 0, torsion: Iterable[int] = ()):
         torsion = tuple(torsion)
@@ -229,9 +232,7 @@ class FgAbGroup(Frozen):
                 raise ValueError(
                     f"invariant factors must form a divisibility chain, "
                     f"got {a} before {b}")
-        setfield(self, "free_rank", free_rank)
-        setfield(self, "torsion", torsion)
-        setfield(self, "_key", (free_rank, torsion))
+        super().__init__(free_rank, torsion)
 
     @classmethod
     def from_presentation(cls, num_generators: int,
@@ -311,8 +312,7 @@ class GroupElement(Frozen):
         fr = parent.free_rank
         canon = coords[:fr] + tuple(
             c % d for c, d in zip(coords[fr:], parent.torsion))
-        setfield(self, "parent", parent)
-        setfield(self, "coords", canon)
+        super().__init__(parent, canon)
 
     @property
     def is_zero(self) -> bool:
@@ -342,32 +342,12 @@ class GroupElement(Frozen):
 
     __rmul__ = __mul__
 
-    # == and hash without a stored _key, to keep instances small
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.parent == other.parent and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.parent, self.coords))
-
     def __repr__(self) -> str:
         return f"<{','.join(map(str, self.coords))}> in {self.parent}"
 
 
 # ---------------------------------------------------------------------------
 # homomorphisms
-
-def _relation_columns(group: FgAbGroup) -> list[list[int]]:
-    """Columns spanning the relation lattice of the canonical presentation."""
-    fr = group.free_rank
-    cols = []
-    for k, d in enumerate(group.torsion):
-        col = [0] * group.dim
-        col[fr + k] = d
-        cols.append(col)
-    return cols
-
 
 class Homomorphism(Frozen):
     """An integer matrix between two canonical presentations.
@@ -377,7 +357,7 @@ class Homomorphism(Frozen):
     torsion generator of order d must map to an element killed by d.
     """
 
-    __slots__ = ("source", "target", "matrix", "_snf_cache", "_key")
+    __slots__ = ("source", "target", "matrix", "_snf_cache")
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup,
                  matrix: Sequence[Sequence[int]]):
@@ -397,11 +377,8 @@ class Homomorphism(Frozen):
         canon = tuple(
             r if i < tf else tuple(x % target.torsion[i - tf] for x in r)
             for i, r in enumerate(rows))
-        setfield(self, "source", source)
-        setfield(self, "target", target)
-        setfield(self, "matrix", canon)
+        super().__init__(source, target, canon)
         setfield(self, "_snf_cache", None)
-        setfield(self, "_key", (source, target, canon))
         for j, d in enumerate(source.torsion, source.free_rank):
             if not target.element([d * row[j] for row in canon]).is_zero:
                 raise ValueError(
@@ -436,11 +413,12 @@ class Homomorphism(Frozen):
             if (has_u or not want_u) and (has_v or not want_v):
                 return cached
             want_u, want_v = want_u or has_u, want_v or has_v
-        rels = _relation_columns(self.target)
-        nrows = self.target.dim
-        ncols = self.source.dim + len(rels)
-        aug = [list(self.matrix[i]) + [col[i] for col in rels]
-               for i in range(nrows)]
+        fr, sdim = self.target.free_rank, self.source.dim
+        torsion = self.target.torsion
+        nrows, ncols = self.target.dim, sdim + len(torsion)
+        aug = [list(row) + [0] * len(torsion) for row in self.matrix]
+        for k, d in enumerate(torsion):    # relations d_k * e_(fr + k) = 0
+            aug[fr + k][sdim + k] = d
         u, d, v, rank = _snf(aug, nrows, ncols, want_u, want_v)
         cached = (u, d, v, rank, nrows, ncols)
         setfield(self, "_snf_cache", cached)
@@ -476,9 +454,11 @@ def compose(g: Homomorphism, h: Homomorphism) -> Homomorphism:
 class Subgroup(Frozen):
     """A subgroup given by a list of generating elements of the ambient group.
 
-    Two generating lists can give one subgroup, so == is identity."""
+    Two generating lists can give one subgroup, so == is identity.  Its
+    queries share the SNF of one assembly map Z^k -> ambient, which sends
+    the i-th basis vector to the i-th generator."""
 
-    __slots__ = ("ambient", "generators")
+    __slots__ = ("ambient", "generators", "_assembly")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, ambient: FgAbGroup, generators: Iterable[GroupElement]):
@@ -486,21 +466,14 @@ class Subgroup(Frozen):
         for g in gens:
             if g.parent != ambient:
                 raise ValueError("parent mismatch: generator not in ambient group")
-        setfield(self, "ambient", ambient)
-        setfield(self, "generators", gens)
-
-    def contains(self, y: GroupElement) -> bool:
-        return in_subgroup(self, y)
-
-    def _assembly(self) -> Homomorphism:
-        free = FgAbGroup(len(self.generators), ())
-        matrix = [[g.coords[i] for g in self.generators]
-                  for i in range(self.ambient.dim)]
-        return Homomorphism(free, self.ambient, matrix)
+        super().__init__(ambient, gens)
+        setfield(self, "_assembly", Homomorphism(
+            FgAbGroup(len(gens), ()), ambient,
+            [[g.coords[i] for g in gens] for i in range(ambient.dim)]))
 
     def isomorphism_type(self) -> FgAbGroup:
         """Canonical form of the subgroup, computed on demand via SNF."""
-        return _image_type(self._assembly())
+        return _image_type(self._assembly)
 
     def order(self) -> Optional[int]:
         return self.isomorphism_type().order()
@@ -516,14 +489,18 @@ def _normalize_gen(coords: Sequence[int]) -> list[int]:
     return list(coords)
 
 
+def _kernel_lattice(h: Homomorphism) -> list[list[int]]:
+    """The source rows of the columns of V past the rank: they span the
+    lattice of source coordinate vectors that h sends to zero."""
+    _, _, vcols, rank, _, _ = h._augmented(want_u=False, want_v=True)
+    return [col[:h.source.dim] for col in vcols[rank:]]
+
+
 def kernel(h: Homomorphism) -> Subgroup:
     """Generators of {x : h(x) = 0}."""
-    _, _, vcols, rank, _, _ = h._augmented(want_u=False, want_v=True)
-    sdim = h.source.dim
     gens: dict[GroupElement, None] = {}
-    # the columns of V past the rank span the kernel lattice
-    for vec in vcols[rank:]:
-        x = h.source.element(_normalize_gen(vec[:sdim]))
+    for vec in _kernel_lattice(h):
+        x = h.source.element(_normalize_gen(vec))
         if not x.is_zero:
             gens.setdefault(x)
     return Subgroup(h.source, gens)
@@ -552,22 +529,20 @@ def _image_contains(h: Homomorphism, coords: Sequence[int]) -> bool:
 
 def _image_type(h: Homomorphism) -> FgAbGroup:
     """Isomorphism type of im(h), presented as Z^source.dim modulo the
-    lattice of source vectors that h sends to zero: the source rows of
-    the columns of V past the rank."""
-    _, _, vcols, rank, _, _ = h._augmented(want_u=False, want_v=True)
-    sdim = h.source.dim
-    return FgAbGroup.from_presentation(sdim, [col[:sdim] for col in vcols[rank:]])
+    lattice of source vectors that h sends to zero."""
+    return FgAbGroup.from_presentation(h.source.dim, _kernel_lattice(h))
 
 
 def in_subgroup(s: Subgroup, y: GroupElement) -> bool:
     """Is y an integer combination of the subgroup's generators?"""
     if not isinstance(y, GroupElement) or y.parent != s.ambient:
         raise ValueError("parent mismatch: element is not in the ambient group")
-    return _image_contains(s._assembly(), y.coords)
+    return _image_contains(s._assembly, y.coords)
 
 
 def is_injective(h: Homomorphism) -> bool:
-    return all(g.is_zero for g in kernel(h).generators)
+    """Is ker(h) = 0?  Reads the kernel lattice without building a Subgroup."""
+    return all(h.source.element(vec).is_zero for vec in _kernel_lattice(h))
 
 
 def is_surjective(h: Homomorphism) -> bool:
@@ -579,25 +554,15 @@ def is_surjective(h: Homomorphism) -> bool:
 
 
 def paired_injective(h1: Homomorphism, h2: Homomorphism) -> bool:
-    """Is the pairing x -> (h1(x), h2(x)) injective, i.e. ker h1 ∩ ker h2 = 0?"""
+    """Is the pairing x -> (h1(x), h2(x)) injective, i.e. ker h1 ∩ ker h2 = 0?
+
+    With incl: Z^k -> ker h1 the assembly of the kernel, the intersection
+    is incl(ker(h2 ∘ incl)), so it vanishes exactly when incl kills every
+    generator of that kernel."""
     if h1.source != h2.source:
         raise ValueError("shape mismatch: the two maps must share a source")
-    src = h1.source
-    r1 = _relation_columns(h1.target)
-    r2 = _relation_columns(h2.target)
-    t1, t2 = h1.target.dim, h2.target.dim
-    k1, k2 = len(r1), len(r2)
-    ncols = src.dim + k1 + k2
-    aug = []
-    for i in range(t1):
-        aug.append(list(h1.matrix[i]) + [col[i] for col in r1] + [0] * k2)
-    for i in range(t2):
-        aug.append(list(h2.matrix[i]) + [0] * k1 + [col[i] for col in r2])
-    _, _, vcols, rank = _snf(aug, t1 + t2, ncols, want_u=False, want_v=True)
-    for vec in vcols[rank:]:
-        if not src.element(vec[:src.dim]).is_zero:
-            return False
-    return True
+    incl = kernel(h1)._assembly
+    return all(incl(g).is_zero for g in kernel(compose(h2, incl)).generators)
 
 
 def exact_at(left: Homomorphism, right: Homomorphism) -> bool:

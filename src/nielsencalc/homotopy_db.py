@@ -12,7 +12,8 @@ The store is a line-oriented UTF-8 text format ("nielsendb v1"):
 A '#' outside double quotes starts a comment; the first line that is not
 blank is the version line.  Words are separated by whitespace (as in
 str.isspace), which may also appear, or not, around '=', inside the torsion
-brackets and around '->'.  Numbers are ASCII digit strings.  Spaces are
+brackets and around '->'.  Numbers are ASCII digit strings that int()
+converts, so no longer than sys.get_int_max_str_digits().  Spaces are
 S(n), V(K,n'), P(K,n') with K in {R, C, H}; a <name> is letters, digits and
 '_'; the citation is the text after the second-to-last '"'; a hom's source
 ends at the first ',<m>' followed by '->' that lets the rest of the line
@@ -30,6 +31,7 @@ exact-arithmetic layer.  A Database cannot be changed once built.
 
 from __future__ import annotations
 
+import sys
 from importlib import resources
 from types import MappingProxyType
 from typing import Optional
@@ -100,10 +102,7 @@ class SpaceId(Frozen):
             raise ValueError(f"coefficient field must be R, C or H, got {K!r}")
         if index < 1:
             raise ValueError("space index must be >= 1")
-        setfield(self, "kind", kind)
-        setfield(self, "K", K)
-        setfield(self, "index", index)
-        setfield(self, "_key", (kind, K, index))
+        super().__init__(kind, K, index)
 
     @classmethod
     def sphere(cls, n: int) -> "SpaceId":
@@ -288,8 +287,13 @@ class Database(Frozen):
 # ---------------------------------------------------------------------------
 # parsing
 
+# int()'s limit on digits; 0, or no getter (Python < 3.10.7), means none
+_max_str_digits = getattr(sys, "get_int_max_str_digits", int)
+
+
 def _digits(text: str) -> bool:    # int() also takes signs, '_' and non-ASCII digits
-    return text.isascii() and text.isdigit()
+    return (text.isascii() and text.isdigit()
+            and not 0 < _max_str_digits() < len(text))
 
 
 def _strip_comment(raw: str) -> str:
@@ -337,14 +341,15 @@ def _hom_fields(line: str):
     while comma > 0:
         after = rest[comma + 1:]
         arrow = after.lstrip("0123456789")
+        source_m = after[:len(after) - len(arrow)]
         target = arrow.lstrip()
         parts = target[2:].split(None, 2)
-        if (len(arrow) < len(after) and target.startswith("->") and len(parts) == 3
+        if (_digits(source_m) and target.startswith("->") and len(parts) == 3
                 and parts[1] == "matrix" and parts[2].startswith("[")):
             target, _, target_m = parts[0].rpartition(",")
             if target and _digits(target_m):
-                return (name, rest[:comma], after[:len(after) - len(arrow)],
-                        target, target_m, parts[2], citation)
+                return (name, rest[:comma], source_m, target, target_m,
+                        parts[2], citation)
         comma = rest.find(",", comma + 1, first)
     return None
 

@@ -41,6 +41,7 @@ from nielsencalc.homotopy_db import (
     HomRef,
     SpaceId,
     Violation,
+    _max_str_digits,
     _strip_comment,
 )
 
@@ -316,10 +317,13 @@ def reference_table_conditions(db: Database, f1: ProjectiveClass,
 # parser, validation included, before it moved to str methods, which must
 # accept the same text and give the same entries and violations.  Moved
 # here verbatim; only SpaceId.parse, HomRef.parse and validate became the
-# functions _space_parse, _homref_parse and _validate.
+# functions _space_parse, _homref_parse and _validate, and a number became
+# _NUM: no longer than int() converts (0 digits: no limit).
 
-_SPHERE_RE = re.compile(r"S\(([0-9]+)\)")
-_SPACE_RE = re.compile(r"([VP])\(([RCH]),([0-9]+)\)")
+_MAX_DIGITS = _max_str_digits()
+_NUM = f"[0-9]{{1,{_MAX_DIGITS or ''}}}"
+_SPHERE_RE = re.compile(rf"S\(({_NUM})\)")
+_SPACE_RE = re.compile(rf"([VP])\(([RCH]),({_NUM})\)")
 
 
 def _space_parse(text: str) -> SpaceId:
@@ -347,18 +351,18 @@ def _homref_parse(token: str) -> HomRef:
 # numbers are ASCII digits: \d and int() would also take other scripts'
 # digits, and int() a sign or underscores
 _GROUP_RE = re.compile(
-    r'^group\s+(\S+)\s+([0-9]+)\s*=\s*([0-9]+)\s*'
-    r'\[\s*((?:[0-9]+(?:\s*,\s*[0-9]+)*)?)\s*\]\s+gens\s+(\S+)'
+    rf'^group\s+(\S+)\s+({_NUM})\s*=\s*({_NUM})\s*'
+    rf'\[\s*((?:{_NUM}(?:\s*,\s*{_NUM})*)?)\s*\]\s+gens\s+(\S+)'
     r'\s+src\s+"([^"]*)"$')
 _HOM_RE = re.compile(
-    r'^hom\s+(\w+)\s+(\S+?),([0-9]+)\s*->\s*(\S+?),([0-9]+)\s+matrix\s+(\[.*\])'
+    rf'^hom\s+(\w+)\s+(\S+?),({_NUM})\s*->\s*(\S+?),({_NUM})\s+matrix\s+(\[.*\])'
     r'\s+src\s+"([^"]*)"$')
 _VERSION_RE = re.compile(r'^nielsendb\s+(\S+)$')
 
 
 def _parse_space_m(text: str) -> tuple[SpaceId, int]:
     space_text, comma, m_text = text.strip().rpartition(",")
-    if not comma or not (m_text.isascii() and m_text.isdigit()):
+    if not comma or not re.fullmatch(_NUM, m_text):
         raise ValueError(f"expected <space>,<m>, got {text!r}")
     return _space_parse(space_text.strip()), int(m_text)
 
@@ -366,7 +370,7 @@ def _parse_space_m(text: str) -> tuple[SpaceId, int]:
 # A matrix literal is a list of rows, each a list of decimal integers
 # with an optional '-'.  The shape is checked by one non-nesting regular
 # expression, so bracket depth costs no recursion.
-_INT = r"-?(?:0|[1-9][0-9]*)"
+_INT = rf"-?(?:0|[1-9][0-9]{{0,{_MAX_DIGITS - 1 if _MAX_DIGITS else ''}}})"
 _ROW = rf"\[[ \t]*(?:{_INT}(?:[ \t]*,[ \t]*{_INT})*)?[ \t]*\]"
 _MATRIX_RE = re.compile(rf"\[[ \t]*(?:{_ROW}(?:[ \t]*,[ \t]*{_ROW})*)?[ \t]*\]")
 _ROW_RE = re.compile(r"\[([^\[\]]*)\]")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import nielsencalc.fgab as fgab
 from nielsencalc.fgab import (
     FgAbGroup,
     Homomorphism,
@@ -257,6 +258,22 @@ def test_in_subgroup_two_z_in_z():
     assert not in_subgroup(s, Z.element((5,)))
 
 
+def test_a_subgroup_computes_one_snf(monkeypatch):
+    calls = []
+    snf = fgab._snf
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return snf(*args, **kwargs)
+
+    monkeypatch.setattr(fgab, "_snf", counting)
+    amb = FgAbGroup(0, (4, 8))
+    s = Subgroup(amb, [amb.element((2, 4)), amb.element((0, 6))])
+    found = {y for y in amb.elements() if in_subgroup(s, y)}
+    assert len(calls) == 1
+    assert found == span_closure(s) and 1 < len(found) < 32
+
+
 def test_empty_subgroup_contains_only_zero():
     s = Subgroup(Z4, [])
     assert in_subgroup(s, Z4.zero())
@@ -310,6 +327,23 @@ def test_paired_injective_needs_common_kernel_vector():
 def test_paired_injective_shape_mismatch():
     with pytest.raises(ValueError):
         paired_injective(identity_hom(Z2), identity_hom(Z4))
+
+
+def test_paired_injective_against_enumeration():
+    # is_injective rides along: it reads the kernel lattice on its own
+    rng = random.Random(64)
+    groups = all_finite_groups(64, 3)
+    seen = set()
+    for _ in range(300):
+        src = rng.choice(groups)
+        h1, h2 = (random_well_defined_hom(rng, src, rng.choice(groups))
+                  for _ in range(2))
+        injective = brute_kernel(h1) == {src.zero()}
+        expected = brute_kernel(h1) & brute_kernel(h2) == {src.zero()}
+        assert is_injective(h1) == injective
+        assert paired_injective(h1, h2) == expected
+        seen.add((injective and src.order() > 1, expected))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,28 @@ def test_numbers_are_ascii_digits(line):
     assert [(v.kind, v.line) for v in violations] == [("parse", 5)]
 
 
+BIG = "9" * 5000     # more digits than int() converts by default
+
+
+@pytest.mark.skipif(not 0 < hdb._max_str_digits() < len(BIG),
+                    reason="int() converts this many digits here")
+@pytest.mark.parametrize("line", [
+    f'group S(5) {BIG} = 0 [2] gens u src "w"',
+    f'group S(5) 5 = {BIG} [] gens u src "w"',
+    f'group S(5) 5 = 0 [{BIG}] gens u src "w"',
+    f'group S({BIG}) 5 = 0 [2] gens u src "w"',
+    f'hom antipodal_A S(2),{BIG} -> S(2),2 matrix [[-1]] src "w"',
+    f'hom antipodal_A S(2),2 -> S(2),{BIG} matrix [[-1]] src "w"',
+    f'hom antipodal_A S(2),2 -> S(2),2 matrix [[-{BIG}]] src "w"',
+    f"assert_zero suspension_E:S(2),{BIG}->S(3),3",
+], ids=["degree", "free rank", "torsion", "space index", "hom source degree",
+        "hom target degree", "matrix entry", "reference degree"])
+def test_numbers_longer_than_int_converts_are_parse_violations(line):
+    _, violations = hdb.check(_DIGITS_DB.format(line=line))
+    assert [(v.kind, v.line) for v in violations] == [("parse", 5)]
+    assert "set_int_max_str_digits" not in violations[0].message
+
+
 def test_torsion_may_have_spaces_around_commas():
     db, violations = hdb.check(_DIGITS_DB.format(
         line='group S(5) 5 = 0 [ 2 , 4 ] gens u,v src "w"'))

@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from nielsencalc._frozen import Frozen
 from nielsencalc.classifier import (
     ClassificationError,
     CoincidenceAnswer,
@@ -164,6 +165,23 @@ def test_loose_small_is_loose_on_projective_answers_only(db):
     assert classify_space_form(SpaceFormQuery(5, 3, True)).loose_small is None
     answer = CoincidenceAnswer("x", "c", 0, 0, 0, loose=True)
     assert answer.loose_small is None
+
+
+def test_value_classes_keep_one_idiom(db):
+    # Frozen's == and hash serve every class but two: a Database compares
+    # its entries in any order, and a Subgroup by identity
+    own, todo = set(), Frozen.__subclasses__()
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if {"__eq__", "__hash__"} & cls.__dict__.keys():
+            own.add(cls)
+    assert own == {Database, Subgroup}
+    for value in _values(db):
+        if "_key" in type(value).__slots__:
+            assert value._key == tuple(getattr(value, n) for n in value._compared)
+        if not isinstance(value, Subgroup):
+            assert value.replace() == value
 
 
 def test_subgroups_compare_by_identity():
