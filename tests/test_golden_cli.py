@@ -1,14 +1,21 @@
 """Golden transcript of the command line: stdout, stderr and exit code.
 
-Every README command runs in both output modes, next to the error paths
-for exit codes 2, 3 and 4.  ``golden/cli_transcript.json`` holds the
-expected results; refresh it after an intended change of behaviour with
+Every README command and every shape of answer runs in both output
+modes, next to the error paths for exit codes 2, 3 and 4.
+``golden/cli_transcript.json`` holds the expected results.  Adding an
+argv to a list below and running
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+appends its result to the file.  The recorder never rewrites an entry:
+when an existing entry's result differs, it prints that argv, writes
+nothing and exits 1.  An intended change of behaviour therefore means
+deleting the entry from the file by hand and recording it again.
 """
 
 import json
 import os
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -29,6 +36,26 @@ README_COMMANDS = [
     ["spaceform", "--order", "5", "--n", "3", "--homotopic", "false"],
     ["db-validate"],
     ["db-show"],
+]
+
+# every shape of answer: the seven table cases and the residue note,
+# the three self-pair verdicts, the loose sphere answer and the three
+# space-form answers that no README command shows
+ANSWER_COMMANDS = [
+    ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "2", "--f2", "2"],
+    ["classify", "--K", "R", "--m", "6", "--nprime", "6", "--f1", "1", "--f2", "2"],
+    ["classify", "--K", "R", "--m", "6", "--nprime", "6", "--f1", "1", "--f2=-1"],
+    ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "1", "--f2", "0"],
+    ["classify", "--K", "C", "--m", "5", "--nprime", "2", "--f1", "1", "--f2", "1"],
+    ["classify", "--K", "C", "--m", "5", "--nprime", "2", "--f1", "1", "--f2", "0"],
+    ["classify", "--K", "H", "--m", "11", "--nprime", "2", "--f1", "1", "--f2", "1",
+     "--residue1", "7"],
+    ["self", "--K", "R", "--m", "11", "--nprime", "6", "--f", "2"],
+    ["self", "--K", "C", "--m", "5", "--nprime", "2", "--f", "1"],
+    ["sphere", "--m", "11", "--n", "6", "--f1", "1", "--f2", "1"],
+    ["spaceform", "--order", "5", "--n", "3", "--homotopic", "true"],
+    ["spaceform", "--order", "2", "--n", "2", "--homotopic", "false"],
+    ["spaceform", "--order", "2", "--n", "2", "--homotopic", "true"],
 ]
 
 ERROR_COMMANDS = [
@@ -68,7 +95,7 @@ ARGPARSE_COMMANDS = [
     ["classify", "--K", "R", "--m", "6", "--nprime", "6", "--f1", "1", "--f2", "-1"],
 ]
 
-COMMANDS = ([argv + ["--output", mode] for argv in README_COMMANDS
+COMMANDS = ([argv + ["--output", mode] for argv in README_COMMANDS + ANSWER_COMMANDS
              for mode in ("text", "machine")] + ERROR_COMMANDS + ARGPARSE_COMMANDS)
 
 # argparse wraps its help text to the terminal width
@@ -139,20 +166,34 @@ def test_golden_cli(argv, tmp_path, monkeypatch):
     assert _run(argv) == _expected()[tuple(argv)]
 
 
-def _record():
+def _record() -> int:
+    """Append the result of every argv in COMMANDS that the file lacks.
+    Returns 1, writing nothing, when an entry already in the file no
+    longer matches its result."""
     os.environ.pop("NIELSEN_DB", None)
     os.environ["COLUMNS"] = COLUMNS
+    entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    expected = {tuple(entry["argv"]): entry for entry in entries}
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         _write_databases(Path(tmp))
         os.chdir(tmp)
         try:
-            entries = [_run(argv) for argv in COMMANDS]
+            results = [_run(argv) for argv in COMMANDS]
         finally:
             os.chdir(here)
+    changed = [result["argv"] for result in results
+               if expected.get(tuple(result["argv"]), result) != result]
+    for argv in changed:
+        print("changed: " + " ".join(argv), file=sys.stderr)
+    if changed:
+        return 1
+    entries += [result for result in results
+                if tuple(result["argv"]) not in expected]
     GOLDEN.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n",
                       encoding="utf-8")
+    return 0
 
 
 if __name__ == "__main__":
-    _record()
+    sys.exit(_record())
