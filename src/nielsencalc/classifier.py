@@ -219,15 +219,10 @@ class CoincidenceAnswer(Frozen):
         return self.loose if isinstance(self.case_id, int) else None
 
 
-class SpaceFormQuery(Frozen, defaults={"domain_case": "sphere"}):
-    """Inputs for the spherical space form S^n/G setting.
+class SpaceFormQuery(Frozen):
+    """Inputs for the spherical space form S^n/G setting."""
 
-    domain_case records which hypothesis the caller asserts: a sphere
-    domain of dimension >= 2, or a simply connected domain of dimension
-    m < 2n - 2.
-    """
-
-    __slots__ = ("group_order", "n", "homotopic", "domain_case")
+    __slots__ = ("group_order", "n", "homotopic")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -235,9 +230,6 @@ class SpaceFormQuery(Frozen, defaults={"domain_case": "sphere"}):
             raise ClassificationError("group order must be a finite integer >= 2")
         if self.n < 1:
             raise ClassificationError("n must be >= 1")
-        if self.domain_case not in ("sphere", "simply-connected"):
-            raise ClassificationError(
-                "domain_case must be 'sphere' or 'simply-connected'")
         if self.n % 2 == 0 and self.group_order != 2:
             raise ClassificationError(
                 "no nontrivial finite group of order > 2 acts freely on an "

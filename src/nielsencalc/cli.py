@@ -4,9 +4,11 @@ Subcommands: classify, self, sphere, spaceform, db-validate, db-show.
 Elements are entered as integer coordinate vectors relative to the
 database generators and echoed back (to the diagnostic stream) with the
 generator labels.  Answers go to stdout; diagnostics and errors go to
-stderr.  Exit codes: 0 success, 2 usage error, 3 insufficient database
-data, 4 database validation failure or database data that contradicts
-the classification.
+stderr.  Each answer or verdict becomes one document (_document):
+--output machine prints it as JSON with the database version, and the
+text form (_text) reads the document alone.  Exit codes: 0 success,
+2 usage error, 3 insufficient database data, 4 database validation
+failure or database data that contradicts the classification.
 """
 
 from __future__ import annotations
@@ -47,85 +49,84 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # rendering
 
-def _json_count(x):
-    return "inf" if x == INF else x
-
-
-def _fmt_count(x) -> str:
-    return "unknown" if x is None else str(_json_count(x))
-
-
-def _fmt_flag(x: Optional[bool]) -> str:
-    if x is None:
-        return "unknown"
-    return "yes" if x else "no"
-
-
-def render(answer, mode: str, db_version: str = "") -> str:
-    """Render a coincidence answer or a looseness verdict."""
-    if isinstance(answer, CoincidenceAnswer):
-        doc, text = _answer_doc, _answer_text
-    elif isinstance(answer, LoosenessVerdict):
-        doc, text = _verdict_doc, _verdict_text
-    else:
-        raise TypeError(f"cannot render {type(answer).__name__}")
+def render(answer, mode: str, db_version: Optional[str]) -> str:
+    """Render a coincidence answer or a looseness verdict: its document
+    as JSON with the database version, or as text."""
+    doc = _document(answer)
     if mode == "machine":
         import json     # here, so that text-mode calls do not load it
-        return json.dumps({**doc(answer), "db_version": db_version},
-                          sort_keys=True)
-    return text(answer)
+        return json.dumps({**doc, "db_version": db_version}, sort_keys=True)
+    return _text(doc)
 
 
-def _answer_doc(ans: CoincidenceAnswer) -> dict:
-    return {
-        "case_id": ans.case_id,
-        "condition": ans.condition,
-        "nielsen": _json_count(ans.nielsen),
-        "mcc": _json_count(ans.mcc),
-        "mc": _json_count(ans.mc),
-        "flags": {
-            "omega_sharp_zero": ans.omega_sharp_zero,
-            "loose": ans.loose,
-            "loose_small": ans.loose_small,
-        },
-        "notes": list(ans.notes),
-    }
+_VERDICT_KEYS = ("K", "m", "nprime", "small_deformation", "loose",
+                 "coincidence_producing", "omega_sharp_zero",
+                 "lifted_pair_loose", "gap_witness")
 
 
-def _answer_text(ans: CoincidenceAnswer) -> str:
-    row = " ".join(_fmt_count(x) for x in (ans.nielsen, ans.mcc, ans.mc))
-    lines = [f"case {ans.case_id}: {ans.condition} | {row}",
-             f"N#={_fmt_count(ans.nielsen)} MCC={_fmt_count(ans.mcc)} "
-             f"MC={_fmt_count(ans.mc)}",
-             f"omega#=0: {_fmt_flag(ans.omega_sharp_zero)} | "
-             f"loose: {_fmt_flag(ans.loose)} | "
-             f"loose by small deformation: {_fmt_flag(ans.loose_small)}"]
-    lines.extend(f"note: {note}" for note in ans.notes)
-    return "\n".join(lines)
+def _document(answer) -> dict:
+    """The one document of an answer, holding only the values that JSON
+    holds: an infinite count is "inf" and an undetermined value None."""
+    if isinstance(answer, LoosenessVerdict):
+        return {key: getattr(answer, key) for key in _VERDICT_KEYS}
+    if not isinstance(answer, CoincidenceAnswer):
+        raise TypeError(f"cannot render {type(answer).__name__}")
+    doc = {"case_id": answer.case_id, "condition": answer.condition}
+    for key in ("nielsen", "mcc", "mc"):
+        count = getattr(answer, key)
+        doc[key] = "inf" if count == INF else count
+    doc["flags"] = {"omega_sharp_zero": answer.omega_sharp_zero,
+                    "loose": answer.loose,
+                    "loose_small": answer.loose_small}
+    doc["notes"] = list(answer.notes)
+    return doc
 
 
-def _verdict_doc(v: LoosenessVerdict) -> dict:
-    return {key: getattr(v, key) for key in (
-        "K", "m", "nprime", "small_deformation", "loose", "coincidence_producing",
-        "omega_sharp_zero", "lifted_pair_loose", "gap_witness")}
+def _value(x) -> str:
+    if x is None:
+        return "unknown"
+    if x is True:
+        return "yes"
+    if x is False:
+        return "no"
+    return str(x)
 
 
-def _verdict_text(v: LoosenessVerdict) -> str:
-    if v.loose:
-        pair_line = "(f,f): loose by small deformation"
+def _text(doc: dict) -> str:
+    """The text form of a document, read from its keys alone."""
+    if "case_id" not in doc:
+        if doc["loose"]:
+            lines = ["(f,f): loose by small deformation"]
+        else:
+            lines = ["(f,f): NOT loose; coincidence producing"]
+        lines.append("omega#=0" if doc["omega_sharp_zero"] else "omega# nonzero")
+        if not doc["lifted_pair_loose"]:
+            lines.append("lifted pair (f~,f~): NOT loose")
+        elif doc["small_deformation"]:
+            lines.append("lifted pair (f~,f~): loose by small deformation")
+        else:
+            lines.append("lifted pair (f~,f~): loose; NOT by small deformation")
+        if doc["gap_witness"]:
+            lines.append("OMEGA#-BLIND: the invariant vanishes but the pair "
+                         "is not loose")
+        return "\n".join(lines)
+    nielsen, mcc, mc = (_value(doc[key]) for key in ("nielsen", "mcc", "mc"))
+    if str(doc["case_id"]).startswith("spaceform-"):
+        if doc["nielsen"] is not None and doc["nielsen"] == doc["mcc"]:
+            lines = [f"N#=MCC={nielsen}"]
+        else:
+            lines = [f"N#={nielsen} MCC={mcc}"]
+        if doc["mc"] is not None:
+            lines.append(f"MC={mc}")
     else:
-        pair_line = "(f,f): NOT loose; coincidence producing"
-    omega_line = "omega#=0" if v.omega_sharp_zero else "omega# nonzero"
-    if v.lifted_pair_loose and v.small_deformation:
-        lifted_line = "lifted pair (f~,f~): loose by small deformation"
-    elif v.lifted_pair_loose:
-        lifted_line = "lifted pair (f~,f~): loose; NOT by small deformation"
-    else:
-        lifted_line = "lifted pair (f~,f~): NOT loose"
-    lines = [pair_line, omega_line, lifted_line]
-    if v.gap_witness:
-        lines.append("OMEGA#-BLIND: the invariant vanishes but the pair "
-                     "is not loose")
+        flags = doc["flags"]
+        lines = [f"case {doc['case_id']}: {doc['condition']} | "
+                 f"{nielsen} {mcc} {mc}",
+                 f"N#={nielsen} MCC={mcc} MC={mc}",
+                 f"omega#=0: {_value(flags['omega_sharp_zero'])} | "
+                 f"loose: {_value(flags['loose'])} | "
+                 f"loose by small deformation: {_value(flags['loose_small'])}"]
+    lines.extend(f"note: {note}" for note in doc["notes"])
     return "\n".join(lines)
 
 
@@ -219,21 +220,10 @@ def _cmd_sphere(args) -> int:
 
 def _cmd_spaceform(args) -> int:
     homotopic = {"true": True, "false": False}[args.homotopic]
-    query = SpaceFormQuery(args.order, args.n, homotopic,
-                           domain_case=args.domain_case)
-    answer = classify_space_form(query)
-    if args.output == "machine":
-        db = _load_db(args)
-        print(render(answer, "machine", db.version))
-        return 0
-    if answer.nielsen is not None and answer.nielsen == answer.mcc:
-        print(f"N#=MCC={answer.nielsen}")
-    else:
-        print(f"N#={_fmt_count(answer.nielsen)} MCC={_fmt_count(answer.mcc)}")
-    if answer.mc is not None:
-        print(f"MC={_fmt_count(answer.mc)}")
-    for note in answer.notes:
-        print(f"note: {note}")
+    answer = classify_space_form(SpaceFormQuery(args.order, args.n, homotopic))
+    # the answer reads no database; machine mode loads one for its version
+    db_version = _load_db(args).version if args.output == "machine" else None
+    print(render(answer, args.output, db_version))
     return 0
 
 
@@ -298,9 +288,7 @@ COMMANDS = {
                   "counts for maps into a spherical space form S^n/G", (
         ("--order", {**_INT, "help": "order of the deck group G"}),
         ("--n", _INT),
-        ("--homotopic", {"choices": ("true", "false"), "required": True}),
-        ("--domain-case", {"choices": ("sphere", "simply-connected"),
-                           "default": "sphere"}))),
+        ("--homotopic", {"choices": ("true", "false"), "required": True}))),
     "db-validate": (_cmd_db_validate, "validate a database file", ()),
     "db-show": (_cmd_db_show, "list the contents of a database", ()),
 }

@@ -14,13 +14,13 @@ only the transforms asked for so far: D alone for is_surjective and the
 cokernel of exact_at's left map; V for kernel, is_injective and
 paired_injective (a kernel of a composite) and for image types
 (exact_at's right map, Subgroup.isomorphism_type); U for membership
-without a witness (in_subgroup, on the assembly map each Subgroup builds
-once, and the classifier's im E test); both for in_image.  exact_at
-compares invariant factors, which suffices because f.g. abelian groups
-are Hopfian.  A query that holds canonical coordinates needs no
-GroupElement: Homomorphism._apply maps them to canonical target
-coordinates and _image_contains tests them against im(h), neither
-checking its input.  All integers are arbitrary precision and every
+without a witness (in_subgroup, on the assembly map a Subgroup builds at
+its first query, and the classifier's im E test); both for in_image.
+exact_at compares invariant factors, which suffices because f.g.
+abelian groups are Hopfian.  A query that holds canonical coordinates
+needs no GroupElement: Homomorphism._apply maps them to canonical
+target coordinates and _image_contains tests them against im(h),
+neither checking its input.  All integers are arbitrary precision and every
 value is immutable after construction, so values can be shared freely
 between threads.
 """
@@ -456,9 +456,11 @@ class Subgroup(Frozen):
 
     Two generating lists can give one subgroup, so == is identity.  Its
     queries share the SNF of one assembly map Z^k -> ambient, which sends
-    the i-th basis vector to the i-th generator."""
+    the i-th basis vector to the i-th generator; the map is built on the
+    first query, so a kernel whose caller reads only its generators never
+    builds it."""
 
-    __slots__ = ("ambient", "generators", "_assembly")
+    __slots__ = ("ambient", "generators", "_map")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, ambient: FgAbGroup, generators: Iterable[GroupElement]):
@@ -467,9 +469,17 @@ class Subgroup(Frozen):
             if g.parent != ambient:
                 raise ValueError("parent mismatch: generator not in ambient group")
         super().__init__(ambient, gens)
-        setfield(self, "_assembly", Homomorphism(
-            FgAbGroup(len(gens), ()), ambient,
-            [[g.coords[i] for g in gens] for i in range(ambient.dim)]))
+
+    @property
+    def _assembly(self) -> Homomorphism:
+        try:
+            return self._map
+        except AttributeError:
+            gens = self.generators
+            setfield(self, "_map", Homomorphism(
+                FgAbGroup(len(gens), ()), self.ambient,
+                [[g.coords[i] for g in gens] for i in range(self.ambient.dim)]))
+            return self._map
 
     def isomorphism_type(self) -> FgAbGroup:
         """Canonical form of the subgroup, computed on demand via SNF."""

@@ -68,6 +68,14 @@ HOM_NAMES = frozenset({
 FIELD_DIMS = {"R": 1, "C": 2, "H": 4}
 
 
+def _cut(token: str) -> str:
+    """A token of database text as a message shows it: a token longer than
+    40 characters is cut there and followed by its length."""
+    if len(token) <= 40:
+        return token
+    return f"{token[:40]}…[{len(token)} characters]"
+
+
 class InsufficientDataError(Exception):
     """A computation needed a database entry that is not present."""
 
@@ -130,7 +138,7 @@ class SpaceId(Frozen):
         if _digits(args[-1]) and (K in FIELD_DIMS
                                   or kind == "S" and len(args) == 1):
             return cls(kind, K, int(args[-1]))
-        raise ValueError(f"cannot parse space {text!r}")
+        raise ValueError(f"cannot parse space {_cut(text)!r}")
 
     def __str__(self) -> str:
         if self.kind == "S":
@@ -178,12 +186,12 @@ class HomRef(Frozen, defaults={"source": None, "target": None}):
     def parse(cls, token: str, spaces: dict) -> "HomRef":
         name, _, rest = token.partition(":")
         if name not in HOM_NAMES:
-            raise ValueError(f"unknown homomorphism name {name!r}")
+            raise ValueError(f"unknown homomorphism name {_cut(name)!r}")
         if not rest:
             return cls(name)
         src_text, arrow, tgt_text = rest.partition("->")
         if not arrow:
-            raise ValueError(f"qualified hom reference {token!r} needs '->'")
+            raise ValueError(f"qualified hom reference {_cut(token)!r} needs '->'")
         return cls(name, _parse_space_m(src_text, spaces),
                    _parse_space_m(tgt_text, spaces))
 
@@ -314,7 +322,7 @@ def _space(spaces: dict, text: str) -> SpaceId:
 def _parse_space_m(text: str, spaces: dict) -> tuple[SpaceId, int]:
     space_text, comma, m_text = text.strip().rpartition(",")
     if not comma or not _digits(m_text):
-        raise ValueError(f"expected <space>,<m>, got {text!r}")
+        raise ValueError(f"expected <space>,<m>, got {_cut(text)!r}")
     return _space(spaces, space_text.strip()), int(m_text)
 
 
@@ -477,7 +485,7 @@ def _parse_line(groups: dict, homs: dict, assertions: list, spaces: dict,
         name, source, source_m, target, target_m, matrix, provenance = fields
         if name not in HOM_NAMES:
             violations.append(Violation(
-                "parse", name,
+                "parse", _cut(name),
                 f"unknown homomorphism name (expected one of "
                 f"{', '.join(sorted(HOM_NAMES))})", lineno))
             return
@@ -500,7 +508,7 @@ def _parse_line(groups: dict, homs: dict, assertions: list, spaces: dict,
                                     tuple(HomRef.parse(r, spaces) for r in refs),
                                     lineno))
     else:
-        raise ValueError(f"unrecognized directive {directive!r}")
+        raise ValueError(f"unrecognized directive {_cut(directive)!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -314,8 +314,6 @@ def test_space_form_constraints():
         SpaceFormQuery(1, 3, homotopic=False)
     with pytest.raises(ClassificationError):
         SpaceFormQuery(5, 2, homotopic=False)  # order 5 on an even sphere
-    with pytest.raises(ClassificationError):
-        SpaceFormQuery(5, 3, homotopic=False, domain_case="torus")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 import nielsencalc
 from nielsencalc import cli, homotopy_db
 from nielsencalc.cli import main
-from test_golden_cli import ERROR_COMMANDS, README_COMMANDS
+from test_golden_cli import ANSWER_COMMANDS, ERROR_COMMANDS, README_COMMANDS
 
 
 def run(capsys, *argv):
@@ -146,6 +146,38 @@ def test_spaceform_subcommand(capsys):
     assert code == 0
     assert "N#=MCC=2" in out
     assert "contradicting" in out
+
+
+def test_spaceform_text_reads_no_database(capsys):
+    code, out, _ = run(capsys, "spaceform", "--order", "5", "--n", "3",
+                       "--homotopic", "false", "--db", "missing.nielsendb")
+    assert code == 0
+    assert "N#=MCC=5" in out
+
+
+# ---------------------------------------------------------------------------
+# one document per answer
+
+@pytest.mark.parametrize("argv", ANSWER_COMMANDS, ids=" ".join)
+def test_text_is_rendered_from_the_machine_document(capsys, argv):
+    code, machine, _ = run(capsys, *argv, "--output", "machine")
+    assert code == 0
+    doc = json.loads(machine)
+    del doc["db_version"]
+    code, text, _ = run(capsys, *argv, "--output", "text")
+    assert code == 0
+    assert text == cli._text(doc) + "\n"
+
+
+def test_a_key_added_to_the_document_reaches_the_machine_output(capsys,
+                                                                 monkeypatch):
+    document = cli._document
+    monkeypatch.setattr(cli, "_document",
+                        lambda answer: {**document(answer), "trace": ["entry"]})
+    for argv in ANSWER_COMMANDS:
+        code, out, _ = run(capsys, *argv, "--output", "machine")
+        assert code == 0
+        assert json.loads(out)["trace"] == ["entry"]
 
 
 # ---------------------------------------------------------------------------

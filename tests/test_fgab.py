@@ -274,6 +274,25 @@ def test_a_subgroup_computes_one_snf(monkeypatch):
     assert found == span_closure(s) and 1 < len(found) < 32
 
 
+def test_kernel_builds_its_assembly_map_at_the_first_query(monkeypatch):
+    built = []
+    init = Homomorphism.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    h = Homomorphism(FgAbGroup(1, (2, 4)), FgAbGroup(1, (8,)),
+                     [[2, 0, 0], [1, 4, 2]])
+    kernel(h)                                   # the SNF of h is cached
+    monkeypatch.setattr(Homomorphism, "__init__", counting)
+    k = kernel(h)
+    assert built == [] and k.generators
+    k.isomorphism_type()
+    assert all(in_subgroup(k, g) for g in k.generators)
+    assert len(built) == 1
+
+
 def test_empty_subgroup_contains_only_zero():
     s = Subgroup(Z4, [])
     assert in_subgroup(s, Z4.zero())

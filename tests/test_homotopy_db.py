@@ -360,6 +360,28 @@ def test_numbers_longer_than_int_converts_are_parse_violations(line):
     assert "set_int_max_str_digits" not in violations[0].message
 
 
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("line", [
+    f'group S({BIG}) 5 = 0 [2] gens u src "w"',
+    f"assert_zero suspension_E:S(2),2->S(3),{BIG}",
+    f"assert_zero suspension_E:{LONG}",
+    f"assert_zero {LONG}",
+    f"{LONG} suspension_E",
+    f'hom {LONG} S(2),2 -> S(3),3 matrix [[1]] src "w"',
+], ids=["space index", "reference degree", "reference without arrow",
+        "reference name", "directive", "hom name"])
+def test_a_violation_quotes_at_most_40_characters_of_a_token(line):
+    if BIG in line and not 0 < hdb._max_str_digits() < len(BIG):
+        pytest.skip("int() converts this many digits here")
+    _, violations = hdb.check(_DIGITS_DB.format(line=line))
+    assert [(v.kind, v.line) for v in violations] == [("parse", 5)]
+    v = violations[0]
+    assert len(v.message) < 120 and len(v.subject) < 120
+    assert "…[5" in v.message + v.subject    # the cut, then the length
+
+
 def test_torsion_may_have_spaces_around_commas():
     db, violations = hdb.check(_DIGITS_DB.format(
         line='group S(5) 5 = 0 [ 2 , 4 ] gens u,v src "w"'))

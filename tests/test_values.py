@@ -98,7 +98,6 @@ def test_constructors_take_positional_keyword_and_default_forms():
                                                   message="m", line=0)
     assert Violation("io", "p", "m").line == 0
     assert HomRef("boundary_K").source is None
-    assert SpaceFormQuery(5, 3, homotopic=False).domain_case == "sphere"
     assert StructuralCriterion().j_star is None
     assert SpaceId(kind="S", K=None, index=4) == S(4)
     with pytest.raises(TypeError):
