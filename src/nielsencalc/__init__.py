@@ -17,8 +17,6 @@ from .fgab import (
     exact_at,
     identity_hom,
     in_image,
-    in_subgroup,
-    is_injective,
     is_surjective,
     kernel,
     paired_injective,

@@ -323,15 +323,14 @@ _SPHERE_ESSENTIAL = CoincidenceAnswer(
 
 
 def classify_sphere_target(db: Database, m: int, n: int,
-                           class1: GroupElement, class2: GroupElement,
-                           antipodally_related: Optional[bool] = None
+                           class1: GroupElement, class2: GroupElement
                            ) -> CoincidenceAnswer:
     """Coincidence numbers for a pair of classes in pi_m(S^n).
 
-    The pair is loose exactly when class1 agrees with the antipodal
-    image of class2; otherwise all three numbers equal the number of
-    Reidemeister classes (1 for n >= 2, and the degree difference on the
-    circle, where N#, MCC and MC coincide).
+    The pair is loose exactly when class1 agrees with the database's
+    antipodal_A image of class2; otherwise all three numbers equal the
+    number of Reidemeister classes (1 for n >= 2, and the degree
+    difference on the circle, where N#, MCC and MC coincide).
     """
     if m < 1 or n < 1:
         raise ClassificationError("m and n must be >= 1")
@@ -341,14 +340,11 @@ def classify_sphere_target(db: Database, m: int, n: int,
         if c.parent is not group and c.parent != group:
             raise ClassificationError(
                 f"classes must live in pi_{m}(S({n})) = {group}")
-    if antipodally_related is None:
-        if group.is_trivial:
-            related = True
-        else:
-            antipodal = db.require_hom("antipodal_A", key, key)
-            related = class1.coords == antipodal._apply(class2.coords)
+    if group.is_trivial:
+        related = True
     else:
-        related = bool(antipodally_related)
+        antipodal = db.require_hom_entry("antipodal_A", key, key).hom
+        related = class1.coords == antipodal._apply(class2.coords)
     if related:
         return _SPHERE_LOOSE
     if m == 1 and n == 1:
@@ -359,11 +355,11 @@ def classify_sphere_target(db: Database, m: int, n: int,
             nielsen=count, mcc=count, mc=count,
             omega_sharp_zero=count == 0, loose=count == 0)
     if n == 1:
-        # pi_m(S^1) = 0 for m >= 2: every pair is antipodally related, so
-        # an asserted 'not related' contradicts the inputs
+        # pi_m(S^1) = 0 for m >= 2, so only a database that claims a
+        # nontrivial pi_m(S^1) gets here
         raise ClassificationError(
-            "maps S^m -> S^1 with m >= 2 are nullhomotopic and always "
-            "antipodally related")
+            f"the database gives pi_{m}(S(1)) = {group}, but maps S^m -> S^1 "
+            "with m >= 2 are nullhomotopic")
     # m = 1 with n > 1 only carries trivial (hence related) classes, so
     # here m, n >= 2 and the Reidemeister set is a singleton
     return _SPHERE_ESSENTIAL

@@ -139,7 +139,7 @@ def _parse_coords(text: str, what: str) -> tuple[int, ...]:
         return tuple(int(p.strip()) for p in parts)
     except ValueError as exc:
         raise UsageError(f"{what}: expected comma-separated integers, "
-                         f"got {text!r}") from exc
+                         f"got {homotopy_db._cut(text)!r}") from exc
 
 
 def _element(db: Database, space: SpaceId, m: int, text: str,
@@ -212,18 +212,16 @@ def _cmd_sphere(args) -> int:
     c2 = _element(db, space, args.m, args.f2, "f2")
     _echo(db, space, args.m, "f1", c1)
     _echo(db, space, args.m, "f2", c2)
-    related = {"auto": None, "yes": True, "no": False}[args.antipodal]
-    answer = classify_sphere_target(db, args.m, args.n, c1, c2, related)
+    answer = classify_sphere_target(db, args.m, args.n, c1, c2)
     print(render(answer, args.output, db.version))
     return 0
 
 
 def _cmd_spaceform(args) -> int:
+    db = _load_db(args)
     homotopic = {"true": True, "false": False}[args.homotopic]
     answer = classify_space_form(SpaceFormQuery(args.order, args.n, homotopic))
-    # the answer reads no database; machine mode loads one for its version
-    db_version = _load_db(args).version if args.output == "machine" else None
-    print(render(answer, args.output, db_version))
+    print(render(answer, args.output, db.version))
     return 0
 
 
@@ -280,10 +278,7 @@ COMMANDS = {
     "self": (_cmd_self, "looseness verdict for a self-pair (f,f)", (
         _K, _M, _NPRIME, ("--f", _COORDS))),
     "sphere": (_cmd_sphere, "coincidence numbers for S^m -> S^n", (
-        _M, ("--n", _INT), ("--f1", _COORDS), ("--f2", _COORDS),
-        ("--antipodal", {"choices": ("auto", "yes", "no"), "default": "auto",
-                         "help": "whether f1 ~ A∘f2 (auto: decide from the "
-                                 "database)"}))),
+        _M, ("--n", _INT), ("--f1", _COORDS), ("--f2", _COORDS))),
     "spaceform": (_cmd_spaceform,
                   "counts for maps into a spherical space form S^n/G", (
         ("--order", {**_INT, "help": "order of the deck group G"}),

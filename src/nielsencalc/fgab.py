@@ -11,16 +11,16 @@ image of source generator j.
 Everything reduces to Smith normal form over Z.  Each homomorphism
 caches one SNF of its augmented matrix [matrix | target relations], with
 only the transforms asked for so far: D alone for is_surjective and the
-cokernel of exact_at's left map; V for kernel, is_injective and
-paired_injective (a kernel of a composite) and for image types
-(exact_at's right map, Subgroup.isomorphism_type); U for membership
-without a witness (in_subgroup, on the assembly map a Subgroup builds at
-its first query, and the classifier's im E test); both for in_image.
-exact_at compares invariant factors, which suffices because f.g.
-abelian groups are Hopfian.  A query that holds canonical coordinates
-needs no GroupElement: Homomorphism._apply maps them to canonical
-target coordinates and _image_contains tests them against im(h),
-neither checking its input.  All integers are arbitrary precision and every
+cokernel of exact_at's left map; V for kernel and paired_injective (a
+kernel of a composite) and for image types (exact_at's right map,
+Subgroup.isomorphism_type, which builds its map Z^k -> ambient at each
+call); U for membership without a witness (_image_contains, the
+classifier's im E test); both for in_image.  exact_at compares
+invariant factors, which suffices because f.g. abelian groups are
+Hopfian.  A query that holds canonical coordinates needs no
+GroupElement: Homomorphism._apply maps them to canonical target
+coordinates and _image_contains tests them against im(h), neither
+checking its input.  All integers are arbitrary precision and every
 value is immutable after construction, so values can be shared freely
 between threads.
 """
@@ -43,8 +43,6 @@ __all__ = [
     "compose",
     "kernel",
     "in_image",
-    "in_subgroup",
-    "is_injective",
     "is_surjective",
     "paired_injective",
     "exact_at",
@@ -75,12 +73,11 @@ def _snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int,
     as the entry of minimal absolute value, first occurrence in row-major
     order; this makes the output deterministic.  U is None unless want_u
     and V is None unless want_v; the pivots and D do not depend on them.
-    kernel (and through it paired_injective), is_injective and _image_type
-    (the right map of exact_at, Subgroup.isomorphism_type) want V;
-    _image_contains (in_subgroup, the classifier's im E test) wants U;
-    in_image wants both, and so does smith_normal_form, which transposes
-    V; is_surjective, the left map of exact_at and
-    FgAbGroup.from_presentation want neither.
+    kernel (and through it paired_injective) and _image_type (the right
+    map of exact_at, Subgroup.isomorphism_type) want V; _image_contains
+    (the classifier's im E test) wants U; in_image wants both, and so
+    does smith_normal_form, which transposes V; is_surjective, the left
+    map of exact_at and FgAbGroup.from_presentation want neither.
 
     Step t works on the active block, rows and columns t onwards: a row
     operation updates row[t:], a column operation only the rows with a
@@ -454,13 +451,9 @@ def compose(g: Homomorphism, h: Homomorphism) -> Homomorphism:
 class Subgroup(Frozen):
     """A subgroup given by a list of generating elements of the ambient group.
 
-    Two generating lists can give one subgroup, so == is identity.  Its
-    queries share the SNF of one assembly map Z^k -> ambient, which sends
-    the i-th basis vector to the i-th generator; the map is built on the
-    first query, so a kernel whose caller reads only its generators never
-    builds it."""
+    Two generating lists can give one subgroup, so == is identity."""
 
-    __slots__ = ("ambient", "generators", "_map")
+    __slots__ = ("ambient", "generators")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, ambient: FgAbGroup, generators: Iterable[GroupElement]):
@@ -470,26 +463,20 @@ class Subgroup(Frozen):
                 raise ValueError("parent mismatch: generator not in ambient group")
         super().__init__(ambient, gens)
 
-    @property
-    def _assembly(self) -> Homomorphism:
-        try:
-            return self._map
-        except AttributeError:
-            gens = self.generators
-            setfield(self, "_map", Homomorphism(
-                FgAbGroup(len(gens), ()), self.ambient,
-                [[g.coords[i] for g in gens] for i in range(self.ambient.dim)]))
-            return self._map
-
     def isomorphism_type(self) -> FgAbGroup:
         """Canonical form of the subgroup, computed on demand via SNF."""
-        return _image_type(self._assembly)
-
-    def order(self) -> Optional[int]:
-        return self.isomorphism_type().order()
+        return _image_type(_assembly(self.ambient, self.generators))
 
     def __repr__(self) -> str:
         return f"Subgroup({self.ambient}, {len(self.generators)} generators)"
+
+
+def _assembly(ambient: FgAbGroup,
+              generators: Sequence[GroupElement]) -> Homomorphism:
+    """The map Z^k -> ambient sending the i-th basis vector to generators[i]."""
+    return Homomorphism(
+        FgAbGroup(len(generators), ()), ambient,
+        [[g.coords[i] for g in generators] for i in range(ambient.dim)])
 
 
 def _normalize_gen(coords: Sequence[int]) -> list[int]:
@@ -543,18 +530,6 @@ def _image_type(h: Homomorphism) -> FgAbGroup:
     return FgAbGroup.from_presentation(h.source.dim, _kernel_lattice(h))
 
 
-def in_subgroup(s: Subgroup, y: GroupElement) -> bool:
-    """Is y an integer combination of the subgroup's generators?"""
-    if not isinstance(y, GroupElement) or y.parent != s.ambient:
-        raise ValueError("parent mismatch: element is not in the ambient group")
-    return _image_contains(s._assembly, y.coords)
-
-
-def is_injective(h: Homomorphism) -> bool:
-    """Is ker(h) = 0?  Reads the kernel lattice without building a Subgroup."""
-    return all(h.source.element(vec).is_zero for vec in _kernel_lattice(h))
-
-
 def is_surjective(h: Homomorphism) -> bool:
     """Is im(h) the whole target?  Read off the cached augmented SNF: the
     columns of [matrix | target relations] must span Z^dim, i.e. have
@@ -571,7 +546,7 @@ def paired_injective(h1: Homomorphism, h2: Homomorphism) -> bool:
     generator of that kernel."""
     if h1.source != h2.source:
         raise ValueError("shape mismatch: the two maps must share a source")
-    incl = kernel(h1)._assembly
+    incl = _assembly(h1.source, kernel(h1).generators)
     return all(incl(g).is_zero for g in kernel(compose(h2, incl)).generators)
 
 

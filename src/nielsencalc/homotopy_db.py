@@ -271,10 +271,6 @@ class Database(Frozen):
                 f"no entry for {name}: pi_{sm}({s}) -> pi_{tm}({t})")
         return entry
 
-    def require_hom(self, name: str, source: tuple[SpaceId, int],
-                    target: tuple[SpaceId, int]) -> Homomorphism:
-        return self.require_hom_entry(name, source, target).hom
-
     # -- equality (round-trip property) --------------------------------------
 
     def __eq__(self, other):
@@ -306,10 +302,12 @@ def _digits(text: str) -> bool:    # int() also takes signs, '_' and non-ASCII d
 
 def _strip_comment(raw: str) -> str:
     """The part of a line before its first '#' outside double quotes."""
-    end = raw.find("#")
-    while end >= 0 and raw.count('"', 0, end) % 2:
-        end = raw.find("#", end + 1)
-    return raw if end < 0 else raw[:end]
+    if "#" in raw:
+        pieces = raw.split('"')     # the even-indexed pieces are outside quotes
+        for i in range(0, len(pieces), 2):
+            if "#" in pieces[i]:
+                return '"'.join(pieces[:i] + [pieces[i].partition("#")[0]])
+    return raw
 
 
 def _space(spaces: dict, text: str) -> SpaceId:

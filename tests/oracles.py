@@ -42,7 +42,6 @@ from nielsencalc.homotopy_db import (
     SpaceId,
     Violation,
     _max_str_digits,
-    _strip_comment,
 )
 
 
@@ -318,12 +317,23 @@ def reference_table_conditions(db: Database, f1: ProjectiveClass,
 # accept the same text and give the same entries and violations.  Moved
 # here verbatim; only SpaceId.parse, HomRef.parse and validate became the
 # functions _space_parse, _homref_parse and _validate, and a number became
-# _NUM: no longer than int() converts (0 digits: no limit).
+# _NUM: no longer than int() converts (0 digits: no limit).  Comments are
+# stripped by reference_strip_comment, the earlier definition of
+# homotopy_db._strip_comment.
 
 _MAX_DIGITS = _max_str_digits()
 _NUM = f"[0-9]{{1,{_MAX_DIGITS or ''}}}"
 _SPHERE_RE = re.compile(rf"S\(({_NUM})\)")
 _SPACE_RE = re.compile(rf"([VP])\(([RCH]),({_NUM})\)")
+
+
+def reference_strip_comment(raw: str) -> str:
+    """The part of a line before its first '#' outside double quotes,
+    counting the quotes before each '#' (quadratic in the line length)."""
+    end = raw.find("#")
+    while end >= 0 and raw.count('"', 0, end) % 2:
+        end = raw.find("#", end + 1)
+    return raw if end < 0 else raw[:end]
 
 
 def _space_parse(text: str) -> SpaceId:
@@ -394,7 +404,7 @@ def _parse_text(text: str, origin: str):
     assertions: list[Assertion] = []
     violations: list[Violation] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = reference_strip_comment(raw).strip()
         if not line:
             continue
         if version is None:

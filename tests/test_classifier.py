@@ -241,13 +241,6 @@ def test_sphere_distinct_classes(db):
     assert ans.omega_sharp_zero is False
 
 
-def test_sphere_explicit_relatedness_flag(db):
-    g = db.get_group(S(6), 11)
-    ans = classify_sphere_target(db, 11, 6, g.element((1,)), g.element((0,)),
-                                 antipodally_related=True)
-    assert ans.triple == (0, 0, 0)
-
-
 def test_sphere_odd_dimension_negation(db):
     g = db.get_group(S(11), 11)
     # antipodal action is the identity on an odd sphere, so degree k vs -k
@@ -266,16 +259,24 @@ def test_circle_degree_formula(db):
     assert ans.triple == (0, 0, 0)
 
 
-def test_sphere_inconsistent_override_to_circle_target(db):
+def test_sphere_trivial_group_to_circle_target(db):
     import nielsencalc.homotopy_db as hdb
     slim = hdb.loads("nielsendb v1\n"
                      'group S(1) 5 = 0 [] gens - src "pi_5(S^1) = 0"\n')
     g = slim.get_group(S(1), 5)
     ans = classify_sphere_target(slim, 5, 1, g.zero(), g.zero())
     assert ans.triple == (0, 0, 0)
-    with pytest.raises(ClassificationError):
-        classify_sphere_target(slim, 5, 1, g.zero(), g.zero(),
-                               antipodally_related=False)
+
+
+def test_sphere_database_claiming_nontrivial_higher_circle_group():
+    import nielsencalc.homotopy_db as hdb
+    slim = hdb.loads(
+        "nielsendb v1\n"
+        'group S(1) 5 = 1 [] gens x src "wrong: pi_5(S^1) = 0"\n'
+        'hom antipodal_A S(1),5 -> S(1),5 matrix [[1]] src "identity"\n')
+    g = slim.get_group(S(1), 5)
+    with pytest.raises(ClassificationError, match=r"pi_5\(S\(1\)\) = Z"):
+        classify_sphere_target(slim, 5, 1, g.element((1,)), g.element((0,)))
 
 
 def test_sphere_insufficient_antipodal_data(db):

@@ -129,11 +129,12 @@ def test_sphere_subcommand(capsys):
     assert "N#=2 MCC=2 MC=2" in out
 
 
-def test_sphere_antipodal_override(capsys):
-    code, out, _ = run(capsys, "sphere", "--m", "11", "--n", "6",
-                       "--f1", "1", "--f2", "0", "--antipodal", "yes")
-    assert code == 0
-    assert "N#=0 MCC=0 MC=0" in out
+def test_sphere_takes_no_antipodal_override(capsys):
+    # whether f1 ~ A∘f2 is read from the database alone
+    code, out, err = run(capsys, "sphere", "--m", "11", "--n", "6",
+                         "--f1", "1", "--f2", "0", "--antipodal", "yes")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --antipodal yes" in err
 
 
 def test_spaceform_subcommand(capsys):
@@ -148,11 +149,13 @@ def test_spaceform_subcommand(capsys):
     assert "contradicting" in out
 
 
-def test_spaceform_text_reads_no_database(capsys):
-    code, out, _ = run(capsys, "spaceform", "--order", "5", "--n", "3",
-                       "--homotopic", "false", "--db", "missing.nielsendb")
-    assert code == 0
-    assert "N#=MCC=5" in out
+def test_spaceform_rejects_a_missing_database_in_both_modes(capsys):
+    argv = ("spaceform", "--order", "5", "--n", "3", "--homotopic", "false",
+            "--db", "missing.nielsendb")
+    text = run(capsys, *argv)
+    machine = run(capsys, *argv, "--output", "machine")
+    assert text == machine
+    assert text[:2] == (4, "") and "database rejected" in text[2]
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +282,20 @@ def test_usage_error_exit_2(capsys):
     code, _, _ = run(capsys, "spaceform", "--order", "5", "--n", "2",
                      "--homotopic", "false")
     assert code == 2
+
+
+LONG_COORDS = "9" * 5000 + "x"
+
+
+@pytest.mark.parametrize("what,f1,f2", [("f1", LONG_COORDS, "0"),
+                                        ("f2", "1", LONG_COORDS)])
+def test_a_usage_error_quotes_at_most_40_characters_of_an_argument(
+        capsys, what, f1, f2):
+    code, out, err = run(capsys, "sphere", "--m", "11", "--n", "6",
+                         "--f1", f1, "--f2", f2)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: {what}: expected comma-separated")
+    assert len(err) < 120 and "…[5001 characters]" in err
 
 
 def test_insufficient_data_exit_3(capsys):

@@ -75,6 +75,10 @@ ERROR_COMMANDS = [
     ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "1", "--f2", "1",
      "--db", "missing.nielsendb"],
     ["db-validate", "--db", "missing.nielsendb"],
+    ["spaceform", "--order", "5", "--n", "3", "--homotopic", "false",
+     "--db", "missing.nielsendb"],
+    ["spaceform", "--order", "5", "--n", "3", "--homotopic", "false",
+     "--db", "missing.nielsendb", "--output", "machine"],
     # a database that contradicts the seven-case table
     ["classify", "--K", "R", "--m", "6", "--nprime", "6", "--f1", "1", "--f2", "1",
      "--db", "inconsistent.nielsendb"],
@@ -85,14 +89,15 @@ ERROR_COMMANDS = [
     ["db-validate", "--db", "badversion.nielsendb"],
 ]
 
-# help, a bad choice, an abbreviated option name and a negative value in
-# its own token: the argv that main() leaves to argparse
+# help, a bad choice, an abbreviated option name, a negative value in its
+# own token and an unknown option: the argv that main() leaves to argparse
 ARGPARSE_COMMANDS = [
     ["--help"],
     ["classify", "--help"],
     ["classify", "--K", "X", "--m", "11", "--nprime", "6", "--f1", "1", "--f2", "1"],
     ["classify", "--K", "R", "--m", "11", "--nprim", "6", "--f1", "1", "--f2", "1"],
     ["classify", "--K", "R", "--m", "6", "--nprime", "6", "--f1", "1", "--f2", "-1"],
+    ["sphere", "--m", "11", "--n", "6", "--f1", "1", "--f2", "0", "--antipodal", "yes"],
 ]
 
 COMMANDS = ([argv + ["--output", mode] for argv in README_COMMANDS + ANSWER_COMMANDS

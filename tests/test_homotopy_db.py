@@ -1,11 +1,12 @@
 import random
 import re
+import time
 from types import MappingProxyType
 
 import pytest
 
 from nielsencalc import fgab, homotopy_db as hdb
-from nielsencalc.fgab import FgAbGroup, Homomorphism, exact_at, is_injective
+from nielsencalc.fgab import FgAbGroup, Homomorphism, exact_at, kernel
 from nielsencalc.homotopy_db import (
     DatabaseError,
     InsufficientDataError,
@@ -17,7 +18,7 @@ from nielsencalc.homotopy_db import (
     validate,
 )
 
-from oracles import mat_mul, reference_exact_at
+from oracles import mat_mul, reference_exact_at, reference_strip_comment
 
 S = SpaceId.sphere
 V = SpaceId.stiefel
@@ -62,7 +63,7 @@ def test_lookup_never_fabricates(db):
     with pytest.raises(InsufficientDataError, match=r"pi_40\(S\(17\)\)"):
         db.require_group(S(17), 40)
     with pytest.raises(InsufficientDataError, match="suspension_E"):
-        db.require_hom("suspension_E", (S(17), 40), (S(18), 41))
+        db.require_hom_entry("suspension_E", (S(17), 40), (S(18), 41))
 
 
 def test_get_hom_examples(db):
@@ -79,7 +80,7 @@ def test_every_hom_well_defined_and_antipodals_are_automorphisms(db):
         assert entry.hom is not None
         if entry.name == "antipodal_A":
             assert entry.source == entry.target
-            assert is_injective(entry.hom)
+            assert not kernel(entry.hom).generators
 
 
 def test_antipodal_action_preserves_hopf_coordinate(db):
@@ -387,6 +388,36 @@ def test_torsion_may_have_spaces_around_commas():
         line='group S(5) 5 = 0 [ 2 , 4 ] gens u,v src "w"'))
     assert violations == []
     assert db.groups[(S(5), 5)].group.torsion == (2, 4)
+
+
+# ---------------------------------------------------------------------------
+# comments
+
+def test_strip_comment_agrees_with_the_quote_counting_definition():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    @settings(max_examples=2000, deadline=None, database=None,
+              derandomize=True)
+    @given(st.text(alphabet='"# ab', max_size=24))
+    @example('src "a#b" # c')
+    @example('"#')
+    @example('#"')
+    def agree(raw):
+        assert hdb._strip_comment(raw) == reference_strip_comment(raw)
+
+    agree()
+
+
+def test_check_takes_a_megabyte_line_of_quoted_hashes_in_linear_time():
+    text = ("nielsendb v1\n"
+            f'group S(5) 5 = 0 [2] gens u src "{"#" * 2 ** 20}" # note\n')
+    start = time.perf_counter()
+    db, violations = hdb.check(text)
+    elapsed = time.perf_counter() - start
+    assert violations == []
+    assert db.groups[(S(5), 5)].provenance == "#" * 2 ** 20
+    assert elapsed < 2.0
 
 
 # ---------------------------------------------------------------------------
