@@ -49,7 +49,6 @@ from .classifier import (
 )
 from .selfcoincidence import (
     LoosenessVerdict,
-    StructuralCriterion,
     criteria_equivalence_iii,
     criteria_equivalence_iii_prime,
     self_verdict,

@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 from ._frozen import Frozen
 from .fgab import GroupElement, _image_contains
-from .homotopy_db import FIELD_DIMS, Database, SpaceId
+from .homotopy_db import FIELD_DIMS, Database, InsufficientDataError, SpaceId
 
 __all__ = [
     "INF",
@@ -125,19 +125,19 @@ class ProjectiveClass(Frozen):
             raise ClassificationError(f"K must be R, C or H, got {K!r}")
         if m < 1 or nprime < 1:
             raise ClassificationError("m and n' must be >= 1")
-        if K == "R" and residue is not None and not residue.is_zero:
+        if K == "R" and residue is not None:
             raise ClassificationError(
                 "for K = R the residue group is trivial; drop the residue")
         super().__init__(K, m, nprime, lift, residue)
 
 
 class ProjectiveSlice(Frozen):
-    """The database data for maps S^m -> KP(n'), with n = d n'.
+    """The database data for maps S^m -> KP(n'), one per (K, m, n').
 
-    The lift group is pi_m(S^{n+d-1}); boundary is ∂_K into
+    With n = d n', the lift group is pi_m(S^{n+d-1}); boundary is ∂_K into
     pi_{m-1}(S^{n-1}), suspension is E into pi_m(S^n), and antipodal is
-    the action A on the lift group (K = R only, None otherwise or when
-    not resolved).
+    the action A on the lift group (K = R only; None for K = C or H, or
+    when the database lacks it).
     """
 
     __slots__ = ("K", "m", "nprime", "lift_key", "lift_group", "boundary",
@@ -146,15 +146,14 @@ class ProjectiveSlice(Frozen):
     @classmethod
     def resolve(cls, db: Database, K: str, m: int, nprime: int,
                 lifts: tuple[GroupElement, ...],
-                residues: tuple[GroupElement, ...] = (),
-                with_antipodal: bool = True) -> "ProjectiveSlice":
+                residues: tuple[GroupElement, ...] = ()) -> "ProjectiveSlice":
         """Look the slice up and check that the lifts and residues live in
         their groups.  The residue group pi_{m-1}(S^{d-1}) is read only
-        when a residue is given, and A only when with_antipodal is set
-        (a self-pair has no two lifts to compare).  The slice is memoised
-        on the database by (K, m, n', with_antipodal); a failed lookup is
-        not, and the lifts and residues are checked on every call."""
-        key = (K, m, nprime, with_antipodal)
+        when a residue is given.  A missing A leaves antipodal None, so a
+        self-pair, which has no two lifts to compare, still resolves.  The
+        slice is memoised on the database by (K, m, n'); a failed lookup
+        is not, and the lifts and residues are checked on every call."""
+        key = (K, m, nprime)
         s = db._slices.get(key)
         if s is None:
             if K not in FIELD_DIMS:
@@ -168,8 +167,11 @@ class ProjectiveSlice(Frozen):
             low, high = (SpaceId.sphere(n - 1), m - 1), (SpaceId.sphere(n), m)
             boundary = db.require_hom_entry("boundary_K", lift_key, low)
             suspension = db.require_hom_entry("suspension_E", low, high)
-            antipodal = (db.require_hom_entry("antipodal_A", lift_key, lift_key)
-                         if K == "R" and with_antipodal else None)
+            try:
+                antipodal = (db.require_hom_entry(
+                    "antipodal_A", lift_key, lift_key) if K == "R" else None)
+            except InsufficientDataError:   # table_conditions requires it
+                antipodal = None
             # setdefault: concurrent first calls all return one slice
             s = db._slices.setdefault(key, cls(
                 K, m, nprime, lift_key, lift_group, boundary, suspension,
@@ -228,8 +230,10 @@ class SpaceFormQuery(Frozen):
         super().__init__(*args, **kwargs)
         if not isinstance(self.group_order, int) or self.group_order < 2:
             raise ClassificationError("group order must be a finite integer >= 2")
-        if self.n < 1:
-            raise ClassificationError("n must be >= 1")
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ClassificationError("n must be an integer >= 1")
+        if not isinstance(self.homotopic, bool):
+            raise ClassificationError("homotopic must be True or False")
         if self.n % 2 == 0 and self.group_order != 2:
             raise ClassificationError(
                 "no nontrivial finite group of order > 2 acts freely on an "
@@ -253,7 +257,9 @@ def table_conditions(db: Database, f1: ProjectiveClass,
     b2_zero = not any(b2)
     eb2_zero = not any(s.suspension.hom._apply(b2))
     if s.K == "R":
-        a2 = s.antipodal.hom._apply(lift2)
+        antipodal = s.antipodal or db.require_hom_entry(
+            "antipodal_A", s.lift_key, s.lift_key)
+        a2 = antipodal.hom._apply(lift2)
         free_homotopic = lift1 == lift2 or lift1 == a2
         diff_in_im_e = _image_contains(
             s.suspension.hom, [a - b for a, b in zip(lift1, lift2)])
@@ -354,14 +360,13 @@ def classify_sphere_target(db: Database, m: int, n: int,
             condition="f_1 !~ A∘f_2 on the circle: |deg f_1 - deg f_2| points",
             nielsen=count, mcc=count, mc=count,
             omega_sharp_zero=count == 0, loose=count == 0)
-    if n == 1:
-        # pi_m(S^1) = 0 for m >= 2, so only a database that claims a
-        # nontrivial pi_m(S^1) gets here
-        raise ClassificationError(
-            f"the database gives pi_{m}(S(1)) = {group}, but maps S^m -> S^1 "
-            "with m >= 2 are nullhomotopic")
-    # m = 1 with n > 1 only carries trivial (hence related) classes, so
-    # here m, n >= 2 and the Reidemeister set is a singleton
+    if m < n or n == 1:
+        # pi_m(S^n) = 0 for m < n, and pi_m(S^1) = 0 for m >= 2, so only a
+        # database that claims a nontrivial such group gets here
+        raise InconsistentDataError(
+            f"the database gives pi_{m}(S({n})) = {group}, but every map "
+            f"S^{m} -> S^{n} is nullhomotopic")
+    # here m >= n >= 2 and the Reidemeister set is a singleton
     return _SPHERE_ESSENTIAL
 
 

@@ -329,7 +329,12 @@ def _parse_strict(argv) -> Optional[SimpleNamespace]:
 
 def build_parser() -> "argparse.ArgumentParser":
     import argparse     # here, so that a well-formed call does not load it
-    parser = argparse.ArgumentParser(
+
+    class Parser(argparse.ArgumentParser):      # its subparsers inherit it
+        def error(self, message):
+            super().error(" ".join(map(homotopy_db._cut, message.split(" "))))
+
+    parser = Parser(
         prog="nielsencalc",
         description="Exact Nielsen and minimum coincidence numbers for maps "
                     "from spheres into projective spaces, spheres, and "

@@ -10,20 +10,19 @@ verdict is read off two exact evaluations:
 
 The interesting phenomenon is the gap: the obstruction can vanish while
 the pair is not loose by any deformation.  The structural criteria at
-the bottom predict exactly when such gap witnesses exist, via paired
-injectivity on pi_{m-1}(S^{n-1}).
+the bottom predict exactly when such gap witnesses exist: each holds iff
+the pairing of its two maps out of pi_{m-1}(S^{n-1}) is injective.
 """
 
 from __future__ import annotations
 
 from ._frozen import Frozen, setfield
-from .fgab import GroupElement, paired_injective
+from .fgab import GroupElement, Homomorphism, paired_injective
 from .homotopy_db import Database
 from .classifier import ClassificationError, ProjectiveSlice
 
 __all__ = [
     "LoosenessVerdict",
-    "StructuralCriterion",
     "self_verdict",
     "criteria_equivalence_iii",
     "criteria_equivalence_iii_prime",
@@ -73,48 +72,29 @@ class LoosenessVerdict(Frozen):
         return self.omega_sharp_zero and not self.small_deformation
 
 
-class StructuralCriterion(Frozen, defaults={
-        "j_star": None, "incl_star": None, "suspension": None}):
-    """The maps out of pi_{m-1}(S^{n-1}) that control the two equivalences:
-    j into the punctured target, the fiber inclusion into the unit
-    tangent/frame space, and the suspension, each a Homomorphism or None."""
-
-    __slots__ = ("j_star", "incl_star", "suspension")
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        sources = {h.source for h in (self.j_star, self.incl_star, self.suspension)
-                   if h is not None}
-        if len(sources) > 1:
-            raise ClassificationError(
-                "all structural maps must share the source pi_{m-1}(S^{n-1})")
-
-
 def self_verdict(db: Database, K: str, m: int, nprime: int,
                  lift: GroupElement) -> LoosenessVerdict:
     """Looseness verdict for the self-pair of a class with the given lift:
     loose by small deformation iff boundary(lift) = 0, and the invariant
     vanishes iff E(boundary(lift)) = 0."""
-    s = ProjectiveSlice.resolve(db, K, m, nprime, (lift,), with_antipodal=False)
+    s = ProjectiveSlice.resolve(db, K, m, nprime, (lift,))
     b = s.boundary.hom._apply(lift.coords)
     return LoosenessVerdict(K, m, nprime, small_deformation=not any(b),
                             omega_sharp_zero=not any(s.suspension.hom._apply(b)))
 
 
-def criteria_equivalence_iii(criterion: StructuralCriterion) -> bool:
+def criteria_equivalence_iii(j_star: Homomorphism,
+                             incl_star: Homomorphism) -> bool:
     """Does 'loose by small deformation' coincide with 'not coincidence
     producing' for every class in this dimension pair?  Holds iff the
     pairing (j, incl) is injective."""
-    if criterion.j_star is None or criterion.incl_star is None:
-        raise ClassificationError("criterion needs j_star and incl_star")
-    return paired_injective(criterion.j_star, criterion.incl_star)
+    return paired_injective(j_star, incl_star)
 
 
-def criteria_equivalence_iii_prime(criterion: StructuralCriterion) -> bool:
+def criteria_equivalence_iii_prime(suspension: Homomorphism,
+                                   incl_star: Homomorphism) -> bool:
     """Does 'loose by small deformation' coincide with vanishing of the
     obstruction invariant for every class in this dimension pair?  Holds
     iff the pairing (E, incl) is injective; a False here predicts the
     existence of gap witnesses."""
-    if criterion.suspension is None or criterion.incl_star is None:
-        raise ClassificationError("criterion needs suspension and incl_star")
-    return paired_injective(criterion.suspension, criterion.incl_star)
+    return paired_injective(suspension, incl_star)

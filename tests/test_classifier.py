@@ -15,6 +15,7 @@ from nielsencalc.classifier import (
     reidemeister_count,
     table_conditions,
 )
+from nielsencalc.fgab import FgAbGroup
 from nielsencalc.homotopy_db import InsufficientDataError, SpaceId, load_default
 
 S = SpaceId.sphere
@@ -172,10 +173,11 @@ def test_residue_requires_db_entry(db):
 
 
 def test_real_residue_must_be_trivial(db):
-    res = db.get_group(S(1), 1)
-    with pytest.raises(ClassificationError):
-        ProjectiveClass("R", 11, 6, db.get_group(S(6), 11).element((1,)),
-                        res.element((1,)))
+    lift = db.get_group(S(6), 11).element((1,))
+    for residue in (db.get_group(S(1), 1).element((1,)),
+                    FgAbGroup(0, ()).zero()):
+        with pytest.raises(ClassificationError, match="drop the residue"):
+            ProjectiveClass("R", 11, 6, lift, residue)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +281,21 @@ def test_sphere_database_claiming_nontrivial_higher_circle_group():
         classify_sphere_target(slim, 5, 1, g.element((1,)), g.element((0,)))
 
 
+@pytest.mark.parametrize("m,n,group,claimed", [(1, 3, "1 []", "Z"),
+                                               (4, 6, "0 [2]", "Z_2")])
+def test_sphere_database_claiming_a_group_below_connectivity(m, n, group,
+                                                             claimed):
+    import nielsencalc.homotopy_db as hdb
+    slim = hdb.loads(
+        "nielsendb v1\n"
+        f'group S({n}) {m} = {group} gens x src "wrong: pi_m(S^n) = 0, m < n"\n'
+        f'hom antipodal_A S({n}),{m} -> S({n}),{m} matrix [[1]] src "identity"\n')
+    g = slim.get_group(S(n), m)
+    with pytest.raises(InconsistentDataError,
+                       match=rf"pi_{m}\(S\({n}\)\) = {claimed}, but"):
+        classify_sphere_target(slim, m, n, g.element((1,)), g.element((0,)))
+
+
 def test_sphere_insufficient_antipodal_data(db):
     import nielsencalc.homotopy_db as hdb
     slim = hdb.loads("nielsendb v1\n"
@@ -315,6 +332,10 @@ def test_space_form_constraints():
         SpaceFormQuery(1, 3, homotopic=False)
     with pytest.raises(ClassificationError):
         SpaceFormQuery(5, 2, homotopic=False)  # order 5 on an even sphere
+    with pytest.raises(ClassificationError, match="homotopic"):
+        SpaceFormQuery(5, 3, "false")          # a truthy string
+    with pytest.raises(ClassificationError, match="n must be an integer"):
+        SpaceFormQuery(5, 3.0, False)
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,22 @@ def test_a_usage_error_quotes_at_most_40_characters_of_an_argument(
     assert len(err) < 120 and "…[5001 characters]" in err
 
 
+LONG_WORD = "9" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ("sphere", "--m", "11", "--n", "6", "--f1", "1", "--f2", "0",
+     "--bogus", LONG_WORD),
+    ("sphere", "--m", LONG_WORD, "--n", "6", "--f1", "1", "--f2", "0"),
+    ("classify", "--K", "X" * 5000, "--m", "11", "--nprime", "6",
+     "--f1", "1", "--f2", "1"),
+])
+def test_an_argparse_error_cuts_long_arguments(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 1000 and "…[50" in err
+
+
 def test_insufficient_data_exit_3(capsys):
     code, _, err = run(capsys, "classify", "--K", "R", "--m", "13",
                        "--nprime", "6", "--f1", "1", "--f2", "1")
@@ -326,6 +342,23 @@ def test_database_contradicting_the_table_exit_4(tmp_path, capsys):
     for ref in ("boundary_K:S(6),6->S(5),5", "suspension_E:S(5),5->S(6),6",
                 "antipodal_A:S(6),6->S(6),6"):
         assert ref in err
+
+
+@pytest.mark.parametrize("m,n,group", [(1, 3, "Z"), (4, 6, "Z_2")])
+def test_sphere_database_below_connectivity_exit_4(tmp_path, capsys, m, n,
+                                                   group):
+    path = tmp_path / "connectivity.nielsendb"
+    path.write_text(
+        "nielsendb v1\n"
+        f'group S({n}) {m} = {"1 []" if group == "Z" else "0 [2]"} gens x '
+        'src "wrong on purpose"\n'
+        f'hom antipodal_A S({n}),{m} -> S({n}),{m} matrix [[1]] src "id"\n',
+        encoding="utf-8")
+    code, out, err = run(capsys, "sphere", "--m", str(m), "--n", str(n),
+                         "--f1", "1", "--f2", "0", "--db", str(path))
+    assert (code, out) == (4, "")
+    assert (f"database inconsistent: the database gives pi_{m}(S({n})) = "
+            f"{group}, but every map S^{m} -> S^{n} is nullhomotopic\n") in err
 
 
 def test_errors_never_pollute_answer_stream(capsys):

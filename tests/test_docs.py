@@ -1,0 +1,50 @@
+"""The README's library example and the package docstrings run as shown."""
+
+import ast
+import doctest
+import importlib
+import pkgutil
+from pathlib import Path
+
+import nielsencalc
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _python_block():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```python\n") + len("```python\n")
+    return text[start:text.index("```", start)]
+
+
+def test_readme_python_block_gives_its_commented_results():
+    block = _python_block()
+    lines = block.splitlines()
+    namespace, checked = {}, []
+    for node in ast.parse(block).body:
+        code = compile(ast.Module([node], []), str(README), "exec")
+        if not isinstance(node, ast.Expr):
+            exec(code, namespace)
+            continue
+        # the result is commented after the expression or on the next line
+        comment = lines[node.end_lineno - 1][node.end_col_offset:].strip()
+        if not comment:
+            comment = lines[node.end_lineno].strip()
+        expected = ast.literal_eval(comment.lstrip("#").split(":")[0].strip())
+        value = eval(compile(ast.Expression(node.value), str(README), "eval"),
+                     namespace)
+        assert value == expected, ast.unparse(node)
+        checked.append(expected)
+    assert checked == [(2, (0, 1, 1)), True, (5, 5, None)]
+
+
+def test_every_module_docstring_example_passes():
+    attempted = 0
+    for info in pkgutil.iter_modules(nielsencalc.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"nielsencalc.{info.name}")
+        result = doctest.testmod(module)
+        assert result.failed == 0, info.name
+        attempted += result.attempted
+    assert attempted >= 3

@@ -6,7 +6,6 @@ from nielsencalc.fgab import FgAbGroup, identity_hom, zero_hom
 from nielsencalc.homotopy_db import SpaceId, load_default
 from nielsencalc.selfcoincidence import (
     LoosenessVerdict,
-    StructuralCriterion,
     criteria_equivalence_iii,
     criteria_equivalence_iii_prime,
     self_verdict,
@@ -141,28 +140,23 @@ def test_six_way_equivalence(db):
 # structural criteria
 
 def test_criterion_j_injective_alone_suffices():
-    crit = StructuralCriterion(j_star=identity_hom(Z),
-                               incl_star=zero_hom(Z, Z2))
-    assert criteria_equivalence_iii(crit)
+    assert criteria_equivalence_iii(identity_hom(Z), zero_hom(Z, Z2))
 
 
 def test_criterion_both_zero_fails():
-    crit = StructuralCriterion(j_star=zero_hom(Z2, Z2),
-                               incl_star=zero_hom(Z2, Z2))
-    assert not criteria_equivalence_iii(crit)
+    assert not criteria_equivalence_iii(zero_hom(Z2, Z2), zero_hom(Z2, Z2))
 
 
 def test_criterion_projective_fixture(db):
     j = db.get_hom("j_star", (S(5), 10), (SpaceId.projective("R", 5), 10))
     incl = db.get_hom("fiber_incl", (S(5), 10), (SpaceId.stiefel("R", 6), 10))
-    assert criteria_equivalence_iii(StructuralCriterion(j_star=j, incl_star=incl))
+    assert criteria_equivalence_iii(j, incl)
 
 
 def test_criterion_prime_detects_gap_slice(db):
     susp = db.get_hom("suspension_E", (S(5), 10), (S(6), 11))
     incl = db.get_hom("fiber_incl", (S(5), 10), (SpaceId.stiefel("R", 6), 10))
-    crit = StructuralCriterion(incl_star=incl, suspension=susp)
-    assert not criteria_equivalence_iii_prime(crit)
+    assert not criteria_equivalence_iii_prime(susp, incl)
     # and indeed gap witnesses exist in that slice
     g = db.get_group(S(6), 11)
     assert any(self_verdict(db, "R", 11, 6, g.element((k,))).gap_witness
@@ -178,8 +172,7 @@ def test_criterion_prime_true_on_gapless_slices(db):
     for src, tgt, incl_tgt, K, m, nprime, sphere in fixtures:
         susp = db.get_hom("suspension_E", src, tgt)
         incl = db.get_hom("fiber_incl", src, incl_tgt)
-        crit = StructuralCriterion(incl_star=incl, suspension=susp)
-        assert criteria_equivalence_iii_prime(crit)
+        assert criteria_equivalence_iii_prime(susp, incl)
         g = db.get_group(sphere, m)
         assert not any(self_verdict(db, K, m, nprime, g.element((k,))).gap_witness
                        for k in range(-20, 21))
@@ -187,13 +180,6 @@ def test_criterion_prime_true_on_gapless_slices(db):
 
 def test_criterion_prime_trivial_source_vacuous():
     trivial = FgAbGroup(0, ())
-    crit = StructuralCriterion(suspension=zero_hom(trivial, Z),
-                               incl_star=zero_hom(trivial, Z2))
-    assert criteria_equivalence_iii_prime(crit)
+    assert criteria_equivalence_iii_prime(zero_hom(trivial, Z),
+                                          zero_hom(trivial, Z2))
 
-
-def test_criterion_source_mismatch():
-    with pytest.raises(ClassificationError):
-        StructuralCriterion(j_star=identity_hom(Z), incl_star=identity_hom(Z2))
-    with pytest.raises(ClassificationError):
-        criteria_equivalence_iii(StructuralCriterion(j_star=identity_hom(Z)))

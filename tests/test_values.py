@@ -29,11 +29,7 @@ from nielsencalc.homotopy_db import (
     loads,
     serialize,
 )
-from nielsencalc.selfcoincidence import (
-    LoosenessVerdict,
-    StructuralCriterion,
-    self_verdict,
-)
+from nielsencalc.selfcoincidence import LoosenessVerdict, self_verdict
 
 S = SpaceId.sphere
 Z = FgAbGroup(1, ())
@@ -56,7 +52,6 @@ def _values(db):
         f, ProjectiveSlice.resolve(db, "R", 11, 6, ()),
         classify_projective(db, f, f), SpaceFormQuery(5, 3, False),
         self_verdict(db, "R", 11, 6, f.lift),
-        StructuralCriterion(suspension=identity_hom(Z)),
         Z, Z.element((1,)), identity_hom(Z), Subgroup(Z, [Z.element((2,))]),
     ]
 
@@ -98,7 +93,6 @@ def test_constructors_take_positional_keyword_and_default_forms():
                                                   message="m", line=0)
     assert Violation("io", "p", "m").line == 0
     assert HomRef("boundary_K").source is None
-    assert StructuralCriterion().j_star is None
     assert SpaceId(kind="S", K=None, index=4) == S(4)
     with pytest.raises(TypeError):
         Violation("io", "p")                       # missing field
@@ -218,14 +212,28 @@ def test_second_classify_on_a_slice_does_no_hom_lookups(hom_lookups):
     assert hom_lookups == []
 
 
-def test_self_verdict_reads_no_antipodal_action(hom_lookups):
+def test_self_verdict_and_classify_share_one_slice(hom_lookups):
     db = load_default()
-    lift = _rp11(db, 1).lift
-    verdict = self_verdict(db, "R", 11, 6, lift)
-    assert sorted(hom_lookups) == ["boundary_K", "suspension_E"]
+    f = _rp11(db, 1)
+    verdict = self_verdict(db, "R", 11, 6, f.lift)
+    classify_projective(db, f, f)
+    assert sorted(hom_lookups) == ["antipodal_A", "boundary_K", "suspension_E"]
+    assert list(db._slices) == [("R", 11, 6)]
     hom_lookups.clear()
-    assert self_verdict(db, "R", 11, 6, lift) == verdict
+    assert self_verdict(db, "R", 11, 6, f.lift) == verdict
     assert hom_lookups == []
+
+
+def test_a_missing_antipodal_action_is_required_only_by_classify():
+    text = serialize(load_default())
+    no_a = loads("\n".join(line for line in text.splitlines()
+                           if not line.startswith("hom antipodal_A S(6),11")))
+    f = _rp11(no_a, 1)
+    assert self_verdict(no_a, "R", 11, 6, f.lift).gap_witness
+    for _ in range(2):
+        with pytest.raises(InsufficientDataError, match="antipodal_A"):
+            classify_projective(no_a, f, f)
+    assert ProjectiveSlice.resolve(no_a, "R", 11, 6, ()).antipodal is None
 
 
 def test_a_failed_resolve_is_raised_again(hom_lookups):
