@@ -16,7 +16,8 @@ class: the complementary residue component never changes the numbers
 and is merely echoed back as a note.  Everything it reads from the
 database for one (K, m, n') comes from a single ProjectiveSlice.  Past
 its parent checks a query reads canonical coordinates and returns a
-shared immutable answer (the circle's alone is built per call).
+shared immutable answer (the circle's alone is built per call).  An
+answer stores (N#, MCC, MC), and its flags are read off them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from typing import Optional, Union
 
 from ._frozen import Frozen
 from .fgab import GroupElement, _image_contains
-from .homotopy_db import FIELD_DIMS, Database, InsufficientDataError, SpaceId
+from .homotopy_db import (FIELD_DIMS, Database, InsufficientDataError, SpaceId,
+                          _int_at_least)
 
 __all__ = [
     "INF",
@@ -37,7 +39,6 @@ __all__ = [
     "ClassificationError",
     "InconsistentDataError",
     "ProjectiveSlice",
-    "CASE_CONDITIONS",
     "table_conditions",
     "classify_projective",
     "classify_sphere_target",
@@ -88,24 +89,16 @@ class InconsistentDataError(ClassificationError):
     """The database entries of a slice contradict the seven-case table."""
 
 
-CASE_CONDITIONS = {
-    1: "f'_1 ~ f'_2, [f~_2] in ker ∂_K",
-    2: "f'_1 ~ f'_2, [f~_2] in ker E∘∂_K - ker ∂_K",
-    3: "K = R, f'_1 ~ f'_2, f~_2 !~ A∘f~_2",
-    4: "K = R, f'_1 !~ f'_2, [f~_1] - [f~_2] in E(pi_{m-1}(S^{n-1}))",
-    5: "K = R, [f~_1] - [f~_2] not in E(pi_{m-1}(S^{n-1}))",
-    6: "K = C or H, [f~_1] = [f~_2] not in ker E∘∂_K",
-    7: "K = C or H, [f~_1] != [f~_2]",
-}
-
-_CASE_TRIPLES: dict[int, tuple[Count, Count, Count]] = {
-    1: (0, 0, 0),
-    2: (0, 1, 1),
-    3: (1, 1, 1),
-    4: (2, 2, 2),
-    5: (2, 2, INF),
-    6: (1, 1, 1),
-    7: (1, 1, INF),
+# case -> (condition, (N#, MCC, MC)): the paper's seven-row table
+_TABLE: dict[int, tuple[str, tuple[Count, Count, Count]]] = {
+    1: ("f'_1 ~ f'_2, [f~_2] in ker ∂_K", (0, 0, 0)),
+    2: ("f'_1 ~ f'_2, [f~_2] in ker E∘∂_K - ker ∂_K", (0, 1, 1)),
+    3: ("K = R, f'_1 ~ f'_2, f~_2 !~ A∘f~_2", (1, 1, 1)),
+    4: ("K = R, f'_1 !~ f'_2, [f~_1] - [f~_2] in E(pi_{m-1}(S^{n-1}))",
+        (2, 2, 2)),
+    5: ("K = R, [f~_1] - [f~_2] not in E(pi_{m-1}(S^{n-1}))", (2, 2, INF)),
+    6: ("K = C or H, [f~_1] = [f~_2] not in ker E∘∂_K", (1, 1, 1)),
+    7: ("K = C or H, [f~_1] != [f~_2]", (1, 1, INF)),
 }
 
 
@@ -123,12 +116,25 @@ class ProjectiveClass(Frozen):
                  residue: Optional[GroupElement] = None):
         if K not in FIELD_DIMS:
             raise ClassificationError(f"K must be R, C or H, got {K!r}")
-        if m < 1 or nprime < 1:
+        if not (_int_at_least(m, 1) and _int_at_least(nprime, 1)):
             raise ClassificationError("m and n' must be >= 1")
         if K == "R" and residue is not None:
             raise ClassificationError(
                 "for K = R the residue group is trivial; drop the residue")
         super().__init__(K, m, nprime, lift, residue)
+
+
+def _check_slice_key(K: str, m: int, nprime: int) -> None:  # of S^m -> KP(n')
+    if K not in FIELD_DIMS:
+        raise ClassificationError(f"K must be R, C or H, got {K!r}")
+    if not (_int_at_least(m, 2) and _int_at_least(nprime, 2)):
+        raise ClassificationError("the classification needs m >= 2 and n' >= 2")
+
+
+def _sphere_key(db: Database, m: int, n: int) -> tuple[SpaceId, int]:  # of pi_m(S^n)
+    if not (_int_at_least(m, 1) and _int_at_least(n, 1)):
+        raise ClassificationError("m and n must be >= 1")
+    return db._spheres.get(n) or SpaceId.sphere(n), m
 
 
 class ProjectiveSlice(Frozen):
@@ -153,14 +159,10 @@ class ProjectiveSlice(Frozen):
         self-pair, which has no two lifts to compare, still resolves.  The
         slice is memoised on the database by (K, m, n'); a failed lookup
         is not, and the lifts and residues are checked on every call."""
-        key = (K, m, nprime)
-        s = db._slices.get(key)
+        key = (K, m, nprime)    # 11.0 and True hash like ints: only ints hit
+        s = db._slices.get(key) if type(m) is type(nprime) is int else None
         if s is None:
-            if K not in FIELD_DIMS:
-                raise ClassificationError(f"K must be R, C or H, got {K!r}")
-            if m < 2 or nprime < 2:
-                raise ClassificationError(
-                    "the classification needs m >= 2 and n' >= 2")
+            _check_slice_key(K, m, nprime)
             n = FIELD_DIMS[K] * nprime
             lift_key = (SpaceId.lift_sphere(K, nprime), m)
             lift_group = db.require_group(*lift_key)
@@ -191,29 +193,34 @@ class ProjectiveSlice(Frozen):
 
 
 class CoincidenceAnswer(Frozen):
-    """(case, N#, MCC, MC) plus looseness flags where determinable.
+    """(case, N#, MCC, MC); omega# = 0 iff N# = 0, and loose iff MCC = 0.
 
-    None marks a genuinely undetermined value (the space-form cases can
-    leave fields open); INF is the exact answer infinity.
+    None marks a genuinely undetermined count or flag (the space-form
+    cases can leave them open); INF is the exact answer infinity.
     """
 
-    __slots__ = ("case_id", "condition", "nielsen", "mcc", "mc",
-                 "omega_sharp_zero", "loose", "notes")
+    __slots__ = ("case_id", "condition", "nielsen", "mcc", "mc", "notes")
 
     def __init__(self, case_id: Union[int, str], condition: str,
                  nielsen: Optional[int], mcc: Optional[int], mc: Optional[Count],
-                 omega_sharp_zero: Optional[bool] = None,
-                 loose: Optional[bool] = None, notes: tuple[str, ...] = ()):
+                 notes: tuple[str, ...] = ()):
         if None not in (nielsen, mcc) and not nielsen <= mcc:
             raise ClassificationError("invariant violated: N# <= MCC")
         if None not in (mcc, mc) and not mcc <= mc:
             raise ClassificationError("invariant violated: MCC <= MC")
-        super().__init__(case_id, condition, nielsen, mcc, mc,
-                         omega_sharp_zero, loose, notes)
+        super().__init__(case_id, condition, nielsen, mcc, mc, notes)
 
     @property
     def triple(self):
         return (self.nielsen, self.mcc, self.mc)
+
+    @property
+    def omega_sharp_zero(self) -> Optional[bool]:
+        return None if self.nielsen is None else self.nielsen == 0
+
+    @property
+    def loose(self) -> Optional[bool]:
+        return None if self.mcc is None else self.mcc == 0
 
     @property
     def loose_small(self) -> Optional[bool]:
@@ -228,9 +235,9 @@ class SpaceFormQuery(Frozen):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        if not isinstance(self.group_order, int) or self.group_order < 2:
+        if not _int_at_least(self.group_order, 2):
             raise ClassificationError("group order must be a finite integer >= 2")
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _int_at_least(self.n, 1):
             raise ClassificationError("n must be an integer >= 1")
         if not isinstance(self.homotopic, bool):
             raise ClassificationError("homotopic must be True or False")
@@ -246,7 +253,8 @@ class SpaceFormQuery(Frozen):
 def table_conditions(db: Database, f1: ProjectiveClass,
                      f2: ProjectiveClass) -> tuple[bool, ...]:
     """Evaluate the seven case conditions literally, in table order, on
-    canonical coordinates: resolve has checked the lifts' parents."""
+    canonical coordinates: resolve has checked the lifts' parents.  One
+    tuple serves every K, with "K = R" and "K = C or H" as conjuncts."""
     if (f1.K, f1.m, f1.nprime) != (f2.K, f2.m, f2.nprime):
         raise ClassificationError("the two classes must share (K, m, n')")
     s = ProjectiveSlice.resolve(
@@ -256,40 +264,30 @@ def table_conditions(db: Database, f1: ProjectiveClass,
     b2 = s.boundary.hom._apply(lift2)
     b2_zero = not any(b2)
     eb2_zero = not any(s.suspension.hom._apply(b2))
-    if s.K == "R":
-        antipodal = s.antipodal or db.require_hom_entry(
-            "antipodal_A", s.lift_key, s.lift_key)
-        a2 = antipodal.hom._apply(lift2)
-        free_homotopic = lift1 == lift2 or lift1 == a2
-        diff_in_im_e = _image_contains(
-            s.suspension.hom, [a - b for a, b in zip(lift1, lift2)])
-        return (
-            free_homotopic and b2_zero,
-            free_homotopic and eb2_zero and not b2_zero,
-            free_homotopic and lift2 != a2,
-            not free_homotopic and diff_in_im_e,
-            not diff_in_im_e,
-            False,
-            False,
-        )
-    equal = lift1 == lift2
+    real = s.K == "R"
+    if real and s.antipodal is None:    # raises: only classify requires A
+        db.require_hom_entry("antipodal_A", s.lift_key, s.lift_key)
+    a2 = s.antipodal.hom._apply(lift2) if real else lift2   # A∘f~_2
+    free_homotopic = lift1 == lift2 or lift1 == a2
+    diff_in_im_e = real and _image_contains(
+        s.suspension.hom, [a - b for a, b in zip(lift1, lift2)])
     return (
-        equal and b2_zero,
-        equal and eb2_zero and not b2_zero,
-        False,
-        False,
-        False,
-        equal and not eb2_zero,
-        not equal,
+        free_homotopic and b2_zero,
+        free_homotopic and eb2_zero and not b2_zero,
+        real and free_homotopic and lift2 != a2,
+        real and not free_homotopic and diff_in_im_e,
+        real and not diff_in_im_e,
+        not real and free_homotopic and not eb2_zero,
+        not real and not free_homotopic,
     )
 
 
 _CASE_ANSWERS = {
     (case, residue): CoincidenceAnswer(
-        case, CASE_CONDITIONS[case], *_CASE_TRIPLES[case],
-        omega_sharp_zero=case in (1, 2), loose=case == 1,
+        case, condition, *triple,
         notes=("residue present, numbers unaffected",) if residue else ())
-    for case in CASE_CONDITIONS for residue in (False, True)}
+    for case, (condition, triple) in _TABLE.items()
+    for residue in (False, True)}
 
 
 def classify_projective(db: Database, f1: ProjectiveClass,
@@ -321,11 +319,10 @@ def classify_projective(db: Database, f1: ProjectiveClass,
 # ---------------------------------------------------------------------------
 # sphere targets
 
-_SPHERE_LOOSE = CoincidenceAnswer("sphere-loose", "f_1 ~ A∘f_2", 0, 0, 0,
-                                  omega_sharp_zero=True, loose=True)
+_SPHERE_LOOSE = CoincidenceAnswer("sphere-loose", "f_1 ~ A∘f_2", 0, 0, 0)
 _SPHERE_ESSENTIAL = CoincidenceAnswer(
     "sphere-essential", "f_1 !~ A∘f_2: one Reidemeister class, strongly "
-    "essential", 1, 1, 1, omega_sharp_zero=False, loose=False)
+    "essential", 1, 1, 1)
 
 
 def classify_sphere_target(db: Database, m: int, n: int,
@@ -338,9 +335,7 @@ def classify_sphere_target(db: Database, m: int, n: int,
     number of Reidemeister classes (1 for n >= 2, and the degree
     difference on the circle, where N#, MCC and MC coincide).
     """
-    if m < 1 or n < 1:
-        raise ClassificationError("m and n must be >= 1")
-    key = (db._spheres.get(n) or SpaceId.sphere(n), m)
+    key = _sphere_key(db, m, n)
     group = db.require_group(*key)
     for c in (class1, class2):
         if c.parent is not group and c.parent != group:
@@ -358,8 +353,7 @@ def classify_sphere_target(db: Database, m: int, n: int,
         return CoincidenceAnswer(
             case_id="circle",
             condition="f_1 !~ A∘f_2 on the circle: |deg f_1 - deg f_2| points",
-            nielsen=count, mcc=count, mc=count,
-            omega_sharp_zero=count == 0, loose=count == 0)
+            nielsen=count, mcc=count, mc=count)
     if m < n or n == 1:
         # pi_m(S^n) = 0 for m < n, and pi_m(S^1) = 0 for m >= 2, so only a
         # database that claims a nontrivial such group gets here
@@ -387,20 +381,17 @@ def classify_space_form(query: SpaceFormQuery) -> CoincidenceAnswer:
                 case_id="spaceform-loose",
                 condition="odd n, f_1 ~ f_2",
                 nielsen=0, mcc=0, mc=0,
-                omega_sharp_zero=True, loose=True,
                 notes=("MC = 0 forced: MCC = 0 means the pair is loose",))
         return CoincidenceAnswer(
             case_id="spaceform-full",
             condition="odd n, f_1 !~ f_2",
             nielsen=g, mcc=g, mc=None,
-            omega_sharp_zero=False, loose=False,
             notes=("MC not determined in this setting",))
     if not query.homotopic:
         return CoincidenceAnswer(
             case_id="spaceform-even-full",
             condition="even n, f_1 !~ f_2",
             nielsen=g, mcc=g, mc=None,
-            omega_sharp_zero=False, loose=False,
             notes=(
                 f"N# in {{0,...,{g}}}; N# != {g} would force f_1 ~ f_2, "
                 f"contradicting homotopic=false; hence N# = {g}",
@@ -410,7 +401,6 @@ def classify_space_form(query: SpaceFormQuery) -> CoincidenceAnswer:
         case_id="spaceform-even-indeterminate",
         condition="even n, f_1 ~ f_2",
         nielsen=None, mcc=None, mc=None,
-        omega_sharp_zero=None, loose=None,
         notes=(
             "indeterminate: for a homotopic pair on an even space form "
             "N# and MCC lie in {0, 1} but are not fixed by the inputs",
@@ -424,6 +414,6 @@ def reidemeister_count(K: str, m: int) -> int:
     """Number of Reidemeister classes for maps S^m -> KP(n'), m >= 2."""
     if K not in FIELD_DIMS:
         raise ClassificationError(f"K must be R, C or H, got {K!r}")
-    if m < 2:
+    if not _int_at_least(m, 2):
         raise ClassificationError("Reidemeister count needs m >= 2")
     return 2 if K == "R" else 1

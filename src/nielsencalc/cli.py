@@ -18,7 +18,7 @@ import sys
 from types import SimpleNamespace
 from typing import Optional
 
-from . import homotopy_db
+from . import classifier, homotopy_db
 from .classifier import (
     INF,
     CoincidenceAnswer,
@@ -176,6 +176,7 @@ def _load_db(args) -> Database:
 
 def _cmd_classify(args) -> int:
     db = _load_db(args)
+    classifier._check_slice_key(args.K, args.m, args.nprime)
     lift_sphere = SpaceId.lift_sphere(args.K, args.nprime)
     classes = []
     for name, lift_text, res_text in (("f1", args.f1, args.residue1),
@@ -197,6 +198,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_self(args) -> int:
     db = _load_db(args)
+    classifier._check_slice_key(args.K, args.m, args.nprime)
     lift_sphere = SpaceId.lift_sphere(args.K, args.nprime)
     lift = _element(db, lift_sphere, args.m, args.f, "f")
     _echo(db, lift_sphere, args.m, "f", lift)
@@ -207,7 +209,7 @@ def _cmd_self(args) -> int:
 
 def _cmd_sphere(args) -> int:
     db = _load_db(args)
-    space = SpaceId.sphere(args.n)
+    space, _ = classifier._sphere_key(db, args.m, args.n)
     c1 = _element(db, space, args.m, args.f1, "f1")
     c2 = _element(db, space, args.m, args.f2, "f2")
     _echo(db, space, args.m, "f1", c1)

@@ -76,6 +76,10 @@ def _cut(token: str) -> str:
     return f"{token[:40]}…[{len(token)} characters]"
 
 
+def _int_at_least(value, low: int) -> bool:    # a dimension: never a bool or float
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
 class InsufficientDataError(Exception):
     """A computation needed a database entry that is not present."""
 
@@ -108,7 +112,7 @@ class SpaceId(Frozen):
             raise ValueError(f"unknown space kind {kind!r}")
         elif K not in FIELD_DIMS:
             raise ValueError(f"coefficient field must be R, C or H, got {K!r}")
-        if index < 1:
+        if not _int_at_least(index, 1):
             raise ValueError("space index must be >= 1")
         super().__init__(kind, K, index)
 
@@ -238,6 +242,9 @@ class Database(Frozen):
         if any(e.hom is not None and (e.hom.source, e.hom.target)
                != (groups.get(e.source), groups.get(e.target)) for e in self.homs):
             raise ValueError("a hom entry's map is not between its groups")
+        if any(e.hom is None and _resolve(self.groups, e.key, e.matrix)[1] is None
+               for e in self.homs):    # so that validate can say why it fails
+            raise ValueError("a hom entry that resolves must carry its map")
         setfield(self, "_hom_index", {e.key: e for e in self.homs})
         setfield(self, "_spheres", {space.index: space for space, _ in groups
                                     if space.kind == "S"})

@@ -284,6 +284,21 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("classify", "--K", "R", "--m", "0", "--nprime", "6", "--f1", "1",
+      "--f2", "1"), "the classification needs m >= 2 and n' >= 2"),
+    (("classify", "--K", "R", "--m=-1", "--nprime", "6", "--f1", "1",
+      "--f2", "1"), "the classification needs m >= 2 and n' >= 2"),
+    (("self", "--K", "R", "--m", "1", "--nprime", "6", "--f", "1"),
+     "the classification needs m >= 2 and n' >= 2"),
+    (("sphere", "--m", "0", "--n", "6", "--f1", "1", "--f2", "0"),
+     "m and n must be >= 1"),
+])
+def test_a_dimension_out_of_range_is_refused_before_any_group_is_read(
+        capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 LONG_COORDS = "9" * 5000 + "x"
 
 

@@ -14,6 +14,8 @@ from nielsencalc.classifier import (
     SpaceFormQuery,
     classify_projective,
     classify_space_form,
+    classify_sphere_target,
+    reidemeister_count,
 )
 from nielsencalc.fgab import FgAbGroup, Subgroup, identity_hom
 from nielsencalc.homotopy_db import (
@@ -28,6 +30,7 @@ from nielsencalc.homotopy_db import (
     load_default,
     loads,
     serialize,
+    validate,
 )
 from nielsencalc.selfcoincidence import LoosenessVerdict, self_verdict
 
@@ -88,6 +91,17 @@ def test_line_and_hom_are_left_out_of_eq_and_hash(db):
     assert Violation("k", "s", "m") != Violation("k", "s", "other")
 
 
+def test_a_database_refuses_an_entry_that_resolves_but_lacks_its_map(db):
+    hom = db.homs[0]
+    bare = HomEntry(hom.name, hom.source, hom.target, hom.matrix, hom.provenance)
+    with pytest.raises(ValueError, match="must carry its map"):
+        db.replace(homs=(bare,) + db.homs[1:])
+    dangling = bare.replace(source=(S(9), 99))
+    violations = validate(db.replace(homs=(dangling,) + db.homs[1:]))
+    assert ("dangling_ref", dangling.ref()) in [(v.kind, v.subject)
+                                                for v in violations]
+
+
 def test_constructors_take_positional_keyword_and_default_forms():
     assert Violation("io", "p", "m") == Violation(kind="io", subject="p",
                                                   message="m", line=0)
@@ -133,8 +147,8 @@ def test_reprs_keep_their_field_order(db):
                "small_deformation=False, omega_sharp_zero=True)")
     assert (repr(classify_space_form(SpaceFormQuery(5, 3, False)))
             == "CoincidenceAnswer(case_id='spaceform-full', condition='odd n, "
-               "f_1 !~ f_2', nielsen=5, mcc=5, mc=None, omega_sharp_zero=False, "
-               "loose=False, notes=('MC not determined in this setting',))")
+               "f_1 !~ f_2', nielsen=5, mcc=5, mc=None, "
+               "notes=('MC not determined in this setting',))")
     assert repr(db.groups[(S(6), 11)]).startswith(
         "GroupEntry(space=SpaceId(kind='S', K=None, index=6), m=11, "
         "group=FgAbGroup(1, ()), labels=('halfHopf',), provenance=")
@@ -156,8 +170,8 @@ def test_loose_small_is_loose_on_projective_answers_only(db):
         answer = classify_projective(db, _rp11(db, k), _rp11(db, 1))
         assert answer.loose_small == answer.loose
     assert classify_space_form(SpaceFormQuery(5, 3, True)).loose_small is None
-    answer = CoincidenceAnswer("x", "c", 0, 0, 0, loose=True)
-    assert answer.loose_small is None
+    answer = CoincidenceAnswer("x", "c", 0, 0, 0)
+    assert answer.loose is True and answer.loose_small is None
 
 
 def test_value_classes_keep_one_idiom(db):
@@ -248,6 +262,31 @@ def test_a_failed_resolve_is_raised_again(hom_lookups):
     for attempt in (1, 2):
         with pytest.raises(ClassificationError, match="m >= 2"):
             self_verdict(slim, "R", 1, 6, f.lift)
+
+
+def test_a_dimension_is_an_int_that_is_not_a_bool():
+    db = load_default()
+    lift = _rp11(db, 1).lift
+    c = db.get_group(S(6), 11).element((1,))
+    calls = [
+        lambda: self_verdict(db, "R", 11.0, 6, lift),
+        lambda: ProjectiveSlice.resolve(db, "R", 11, 6.0, (lift,)),
+        lambda: ProjectiveClass("R", 11.0, 6, lift),
+        lambda: ProjectiveClass("R", 11, True, lift),
+        lambda: reidemeister_count("R", 2.5),
+        lambda: classify_sphere_target(db, 11.0, 6, c, c),
+        lambda: SpaceFormQuery(5, True, False),
+    ]
+    for memoised in (False, True):      # 11.0 hashes like the key 11
+        for call in calls:
+            with pytest.raises(ClassificationError):
+                call()
+        assert list(db._slices) == ([("R", 11, 6)] if memoised else [])
+        self_verdict(db, "R", 11, 6, lift)
+    assert type(list(db._slices)[0][1]) is int
+    for index in (2.0, True):
+        with pytest.raises(ValueError, match="space index must be >= 1"):
+            SpaceId.sphere(index)
 
 
 def test_lifts_and_residues_are_checked_on_every_call(db):
