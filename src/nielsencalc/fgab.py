@@ -28,7 +28,7 @@ between threads.
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import chain, product
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -54,6 +54,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # integer matrix helpers (lists of rows; shapes passed explicitly so that
 # matrices with zero rows or zero columns stay unambiguous)
+
+def _int_type(cls: type) -> bool:    # of an integer input: True is not 1
+    return issubclass(cls, int) and cls is not bool
+
+
+def _ints(values: Iterable) -> bool:     # the rule, once per type present
+    return all(map(_int_type, set(map(type, values))))
+
 
 def _identity(n: int) -> list[list[int]]:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
@@ -177,9 +185,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
     for row in matrix:
         if len(row) != ncols:
             raise ValueError("matrix rows have unequal lengths")
-        for x in row:
-            if not isinstance(x, int):
-                raise ValueError("matrix entries must be integers")
+    if not _ints(chain.from_iterable(matrix)):
+        raise ValueError("matrix entries must be integers")
     u, d, vcols, _ = _snf(matrix, nrows, ncols, want_u=True, want_v=True)
     return u, d, list(map(list, zip(*vcols)))
 
@@ -219,10 +226,10 @@ class FgAbGroup(Frozen):
 
     def __init__(self, free_rank: int = 0, torsion: Iterable[int] = ()):
         torsion = tuple(torsion)
-        if not isinstance(free_rank, int) or free_rank < 0:
+        if not _int_type(type(free_rank)) or free_rank < 0:
             raise ValueError("free_rank must be a nonnegative integer")
         for d in torsion:
-            if not isinstance(d, int) or d < 2:
+            if not _int_type(type(d)) or d < 2:
                 raise ValueError("invariant factors must be integers >= 2")
         for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
@@ -303,9 +310,8 @@ class GroupElement(Frozen):
         if len(coords) != parent.dim:
             raise ValueError(
                 f"expected {parent.dim} coordinates for {parent}, got {len(coords)}")
-        for x in coords:
-            if not isinstance(x, int):
-                raise ValueError("coordinates must be integers")
+        if not _ints(coords):
+            raise ValueError("coordinates must be integers")
         fr = parent.free_rank
         canon = coords[:fr] + tuple(
             c % d for c, d in zip(coords[fr:], parent.torsion))
@@ -333,7 +339,7 @@ class GroupElement(Frozen):
         return GroupElement(self.parent, tuple(-a for a in self.coords))
 
     def __mul__(self, n: int) -> "GroupElement":
-        if not isinstance(n, int):
+        if not _int_type(type(n)):
             return NotImplemented
         return GroupElement(self.parent, tuple(n * a for a in self.coords))
 
@@ -367,9 +373,8 @@ class Homomorphism(Frozen):
                 raise ValueError(
                     f"matrix row has {len(r)} entries, source {source} "
                     f"needs {source.dim}")
-            for x in r:
-                if not isinstance(x, int):
-                    raise ValueError("matrix entries must be integers")
+        if not _ints(chain.from_iterable(rows)):
+            raise ValueError("matrix entries must be integers")
         tf = target.free_rank
         canon = tuple(
             r if i < tf else tuple(x % target.torsion[i - tf] for x in r)

@@ -22,22 +22,26 @@ zeros and allows only spaces and tabs around its brackets and commas.  A
 <homref> is either a bare homomorphism name (if unique in the file) or the
 qualified form name:S(5),10->S(6),11.
 
-Lookups never guess: a missing entry is reported as None, and the
-require_* helpers raise InsufficientDataError naming exactly what is
-missing.  A database is validated wholesale on load; every recorded
-exactness, vanishing and surjectivity assertion is checked with the
-exact-arithmetic layer.  A Database cannot be changed once built.
+The parser only reads lines; the Database constructor resolves each hom
+line against the group lines, qualifies each bare assertion reference
+that names a single entry, and freezes its inputs, so a Database cannot
+be changed once built.  Lookups never guess: a missing entry is reported
+as None, and the require_* helpers raise InsufficientDataError naming
+exactly what is missing.  A database is validated wholesale on load;
+every recorded exactness, vanishing and surjectivity assertion is
+checked with the exact-arithmetic layer.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from importlib import resources
 from types import MappingProxyType
 from typing import Optional
 
 from ._frozen import Frozen, setfield
-from .fgab import FgAbGroup, Homomorphism, exact_at, is_surjective
+from .fgab import FgAbGroup, Homomorphism, _int_type, exact_at, is_surjective
 
 __all__ = [
     "SpaceId",
@@ -77,7 +81,7 @@ def _cut(token: str) -> str:
 
 
 def _int_at_least(value, low: int) -> bool:    # a dimension: never a bool or float
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+    return _int_type(type(value)) and value >= low
 
 
 class InsufficientDataError(Exception):
@@ -163,9 +167,8 @@ class GroupEntry(Frozen, defaults={"line": 0}, uncompared=("line",)):
 
 class HomEntry(Frozen, defaults={"line": 0, "hom": None},
                uncompared=("line", "hom")):
-    """A hom line; hom is its map, resolved against the group entries when
-    the database is built (None if it dangles or is ill defined), and
-    matrix is then the map's canonical matrix."""
+    """A hom line; only a Database sets hom, its map (None if the entry
+    dangles or is ill defined), and then matrix is the map's canonical one."""
 
     __slots__ = ("name", "source", "target", "matrix", "provenance", "line",
                  "hom")
@@ -225,27 +228,34 @@ class Violation(Frozen, defaults={"line": 0}, uncompared=("line",)):
 class Database(Frozen):
     """Group, homomorphism and assertion entries; immutable once built.
 
-    groups is a read-only mapping from (space, m) to GroupEntry; homs
-    keeps file order, and lookups go through an index keyed by (name,
-    source, target).  Each resolved map runs between its entry's groups,
-    so queries apply it to bare coordinates.  _spheres maps n to the S(n)
-    of the group keys and _slices memoises each resolved projective slice
-    (classifier.ProjectiveSlice.resolve); == and serialize ignore both.
+    Each hom entry gets the map resolved from its own matrix, whatever hom
+    it carried, so queries apply the maps to bare coordinates.  groups is
+    a read-only mapping over the constructor's own copy; homs and
+    assertions are tuples.  _hom_index keys the hom entries, _spheres maps
+    n to the S(n) of the group keys and _slices memoises each resolved
+    slice (classifier.ProjectiveSlice.resolve); == and serialize ignore them.
     """
 
     __slots__ = ("version", "groups", "homs", "assertions", "_hom_index",
                  "_spheres", "_slices")
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        groups = {key: entry.group for key, entry in self.groups.items()}
-        if any(e.hom is not None and (e.hom.source, e.hom.target)
-               != (groups.get(e.source), groups.get(e.target)) for e in self.homs):
-            raise ValueError("a hom entry's map is not between its groups")
-        if any(e.hom is None and _resolve(self.groups, e.key, e.matrix)[1] is None
-               for e in self.homs):    # so that validate can say why it fails
-            raise ValueError("a hom entry that resolves must carry its map")
-        setfield(self, "_hom_index", {e.key: e for e in self.homs})
+    def __init__(self, version: str, groups, homs, assertions):
+        groups = MappingProxyType(dict(groups))
+        entries = []
+        for e in homs:
+            hom, _ = _resolve(groups, e)
+            entries.append(HomEntry(*e.key, e.matrix if hom is None else hom.matrix,
+                                    e.provenance, e.line, hom))
+        by_name = _by_name(entries)
+        qualified = []
+        for assertion in assertions:
+            refs = []
+            for ref in assertion.refs:
+                entry, _ = _lookup(by_name, ref, assertion.line)
+                refs.append(ref if entry is None else HomRef(*entry.key))
+            qualified.append(Assertion(assertion.kind, tuple(refs), assertion.line))
+        super().__init__(version, groups, tuple(entries), tuple(qualified))
+        setfield(self, "_hom_index", {e.key: e for e in entries})
         setfield(self, "_spheres", {space.index: space for space, _ in groups
                                     if space.kind == "S"})
         setfield(self, "_slices", {})
@@ -285,10 +295,8 @@ class Database(Frozen):
             return NotImplemented
         return (self.version == other.version
                 and self.groups == other.groups
-                and sorted(self.homs, key=lambda e: str(e.key))
-                == sorted(other.homs, key=lambda e: str(e.key))
-                and sorted(self.assertions, key=str)
-                == sorted(other.assertions, key=str))
+                and Counter(self.homs) == Counter(other.homs)
+                and Counter(self.assertions) == Counter(other.assertions))
 
     def __repr__(self):
         return (f"Database({self.version}, {len(self.groups)} groups, "
@@ -402,7 +410,7 @@ def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
 def _parse_text(text: str, origin: str):
     version: Optional[str] = None
     groups: dict[tuple[SpaceId, int], GroupEntry] = {}
-    homs: dict[tuple, tuple] = {}   # key -> (matrix, provenance, line)
+    homs: dict[tuple, HomEntry] = {}
     assertions: list[Assertion] = []
     violations: list[Violation] = []
     spaces: dict[str, SpaceId] = {}
@@ -426,28 +434,7 @@ def _parse_text(text: str, origin: str):
     if version is None:
         violations.append(Violation("parse", origin, "empty database file", 0))
         return None, violations
-    return _build(version, groups, homs, assertions), violations
-
-
-def _build(version, groups, homs, assertions) -> Database:
-    """Resolve every hom entry against the groups and qualify every bare
-    assertion reference that names a single entry, so that
-    serialize(load(f)) parses back to an equal database."""
-    entries = []
-    for key, (matrix, provenance, line) in homs.items():
-        hom, _ = _resolve(groups, key, matrix)
-        entries.append(HomEntry(*key, matrix if hom is None else hom.matrix,
-                                provenance, line, hom))
-    by_name = _by_name(entries)
-    qualified = []
-    for assertion in assertions:
-        refs = []
-        for ref in assertion.refs:
-            entry, _ = _lookup(by_name, ref, assertion.line)
-            refs.append(ref if entry is None else HomRef(*entry.key))
-        qualified.append(Assertion(assertion.kind, tuple(refs), assertion.line))
-    return Database(version, MappingProxyType(groups), tuple(entries),
-                    tuple(qualified))
+    return Database(version, groups, homs.values(), assertions), violations
 
 
 def _parse_line(groups: dict, homs: dict, assertions: list, spaces: dict,
@@ -502,7 +489,7 @@ def _parse_line(groups: dict, homs: dict, assertions: list, spaces: dict,
                 "duplicate", str(HomRef(*key)),
                 "second entry for the same homomorphism", lineno))
             return
-        homs[key] = (matrix, provenance, lineno)
+        homs[key] = HomEntry(*key, matrix, provenance, lineno, None)
     elif directive in ("assert_exact", "assert_zero", "assert_surjective"):
         exact = directive == "assert_exact"
         refs = line.split()[1:]
@@ -519,17 +506,16 @@ def _parse_line(groups: dict, homs: dict, assertions: list, spaces: dict,
 # ---------------------------------------------------------------------------
 # validation
 
-def _resolve(groups, key, matrix):
-    """(map, None) for a well-defined hom line, else (None, (kind, message))."""
-    _, source, target = key
-    missing = [f"pi_{m}({space})" for space, m in (source, target)
+def _resolve(groups, entry: HomEntry):
+    """(map, None) for a well-defined hom entry, else (None, (kind, message))."""
+    missing = [f"pi_{m}({space})" for space, m in (entry.source, entry.target)
                if (space, m) not in groups]
     if missing:
         return None, ("dangling_ref",
                       "references missing group entries: " + ", ".join(missing))
     try:
-        return Homomorphism(groups[source].group, groups[target].group,
-                            matrix), None
+        return Homomorphism(groups[entry.source].group, groups[entry.target].group,
+                            entry.matrix), None
     except ValueError as exc:
         return None, ("ill_defined", str(exc))
 
@@ -565,7 +551,7 @@ def validate(db: Database) -> list[Violation]:
     violations: list[Violation] = []
     for entry in db.homs:
         if entry.hom is None:
-            kind, message = _resolve(db.groups, entry.key, entry.matrix)[1]
+            kind, message = _resolve(db.groups, entry)[1]
             violations.append(Violation(kind, entry.ref(), message, entry.line))
         elif entry.name == "antipodal_A":
             if entry.source != entry.target:
@@ -659,21 +645,28 @@ def load_default() -> Database:
 
 
 def _quoted(subject: str, provenance: str) -> str:
-    if '"' in provenance:
-        raise ValueError(f"{subject}: a provenance cannot contain '\"'")
+    if '"' in provenance or "".join(provenance.splitlines()) != provenance:
+        raise ValueError(
+            f"{subject}: a provenance cannot contain '\"' or a line break")
     return f'"{provenance}"'
 
 
 def serialize(db: Database) -> str:
-    """Canonical text form; loads(serialize(db)) equals db."""
+    """Canonical text form; loads(serialize(db)) equals db.  ValueError
+    for what would not read back: a provenance with '"' or a line break, a
+    label with whitespace, ',', '#' or '"', or a lone label '' or '-'."""
     lines = [f"nielsendb {db.version}", ""]
     for entry in sorted(db.groups.values(), key=lambda e: (str(e.space), e.m)):
+        subject = f"pi_{entry.m}({entry.space})"
+        if (any(c.isspace() or c in ',#"' for c in "".join(entry.labels))
+                or entry.labels in (("",), ("-",))):
+            raise ValueError(
+                f"{subject}: cannot write the generator labels {entry.labels!r}")
         torsion = ",".join(str(d) for d in entry.group.torsion)
         labels = ",".join(entry.labels) if entry.labels else "-"
         lines.append(
             f"group {entry.space} {entry.m} = {entry.group.free_rank} "
-            f"[{torsion}] gens {labels} src "
-            + _quoted(f"pi_{entry.m}({entry.space})", entry.provenance))
+            f"[{torsion}] gens {labels} src " + _quoted(subject, entry.provenance))
     for entry in sorted(db.homs, key=lambda e: str(e.key)):
         s, sm = entry.source
         t, tm = entry.target

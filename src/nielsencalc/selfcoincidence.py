@@ -19,7 +19,7 @@ from __future__ import annotations
 from ._frozen import Frozen, setfield
 from .fgab import GroupElement, Homomorphism, paired_injective
 from .homotopy_db import Database
-from .classifier import ClassificationError, ProjectiveSlice
+from .classifier import ClassificationError, ProjectiveSlice, _check_slice_key
 
 __all__ = [
     "LoosenessVerdict",
@@ -43,6 +43,7 @@ class LoosenessVerdict(Frozen):
 
     def __init__(self, K: str, m: int, nprime: int, small_deformation: bool,
                  omega_sharp_zero: bool):
+        _check_slice_key(K, m, nprime)
         if small_deformation and not omega_sharp_zero:
             raise ClassificationError("looseness forces the invariant to vanish")
         setfield(self, "K", K)

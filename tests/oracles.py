@@ -336,6 +336,11 @@ def reference_strip_comment(raw: str) -> str:
     return raw if end < 0 else raw[:end]
 
 
+def _cut(token: str) -> str:
+    """A token as a message shows it: cut after 40 characters, with its length."""
+    return token if len(token) <= 40 else f"{token[:40]}…[{len(token)} characters]"
+
+
 def _space_parse(text: str) -> SpaceId:
     m = _SPHERE_RE.fullmatch(text)
     if m:
@@ -343,18 +348,18 @@ def _space_parse(text: str) -> SpaceId:
     m = _SPACE_RE.fullmatch(text)
     if m:
         return SpaceId(m.group(1), m.group(2), int(m.group(3)))
-    raise ValueError(f"cannot parse space {text!r}")
+    raise ValueError(f"cannot parse space {_cut(text)!r}")
 
 
 def _homref_parse(token: str) -> HomRef:
     name, _, rest = token.partition(":")
     if name not in HOM_NAMES:
-        raise ValueError(f"unknown homomorphism name {name!r}")
+        raise ValueError(f"unknown homomorphism name {_cut(name)!r}")
     if not rest:
         return HomRef(name)
     src_text, arrow, tgt_text = rest.partition("->")
     if not arrow:
-        raise ValueError(f"qualified hom reference {token!r} needs '->'")
+        raise ValueError(f"qualified hom reference {_cut(token)!r} needs '->'")
     return HomRef(name, _parse_space_m(src_text), _parse_space_m(tgt_text))
 
 
@@ -373,7 +378,7 @@ _VERSION_RE = re.compile(r'^nielsendb\s+(\S+)$')
 def _parse_space_m(text: str) -> tuple[SpaceId, int]:
     space_text, comma, m_text = text.strip().rpartition(",")
     if not comma or not re.fullmatch(_NUM, m_text):
-        raise ValueError(f"expected <space>,<m>, got {text!r}")
+        raise ValueError(f"expected <space>,<m>, got {_cut(text)!r}")
     return _space_parse(space_text.strip()), int(m_text)
 
 
@@ -484,7 +489,7 @@ def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
         name = m.group(1)
         if name not in HOM_NAMES:
             violations.append(Violation(
-                "parse", name,
+                "parse", _cut(name),
                 f"unknown homomorphism name (expected one of "
                 f"{', '.join(sorted(HOM_NAMES))})", lineno))
             return
@@ -507,7 +512,7 @@ def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
         assertions.append(Assertion(directive.removeprefix("assert_"),
                                     tuple(_homref_parse(r) for r in refs), lineno))
     else:
-        raise ValueError(f"unrecognized directive {directive!r}")
+        raise ValueError(f"unrecognized directive {_cut(directive)!r}")
 
 
 def _resolve(groups, entry: HomEntry):

@@ -97,7 +97,7 @@ def test_check_never_raises(text):
 # ---------------------------------------------------------------------------
 # the str-method grammar against the seven regular expressions it replaced
 
-from oracles import reference_check  # noqa: E402
+from oracles import _resolve as reference_resolve, reference_check  # noqa: E402
 
 # letters are few, so that most edits touch the punctuation and digits
 # the grammar turns on
@@ -143,6 +143,10 @@ def _outcome(result):
     found = [(v.kind, v.subject, v.message, v.line) for v in violations]
     if db is None:
         return None, found
+    # a Database resolves its entries itself, the reference's too, so the
+    # reference resolver checks which entries resolve on either side
+    assert [e.hom is None for e in db.homs] == [
+        reference_resolve(db.groups, e)[0] is None for e in db.homs]
     return (db.version,
             [(e.key, e.group, e.labels, e.provenance, e.line)
              for e in db.groups.values()],

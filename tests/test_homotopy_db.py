@@ -1,14 +1,16 @@
 import random
 import re
 import time
-from types import MappingProxyType
 
 import pytest
 
 from nielsencalc import fgab, homotopy_db as hdb
 from nielsencalc.fgab import FgAbGroup, Homomorphism, exact_at, kernel
 from nielsencalc.homotopy_db import (
+    Database,
     DatabaseError,
+    HomEntry,
+    HomRef,
     InsufficientDataError,
     SpaceId,
     load,
@@ -129,6 +131,29 @@ def test_loaded_database_cannot_be_changed(db):
     assert serialize(db) == text
 
 
+def test_a_database_built_from_a_dict_and_lists_is_frozen(db):
+    # bare entries, and a bare reference wherever the name is unique
+    groups = dict(db.groups)
+    homs = [HomEntry(e.name, e.source, e.target, e.matrix, e.provenance, e.line)
+            for e in db.homs]
+    names = [e.name for e in db.homs]
+    assertions = [a.replace(refs=tuple(HomRef(r.name) if names.count(r.name) == 1
+                                       else r for r in a.refs))
+                  for a in db.assertions]
+    assert assertions != list(db.assertions)
+    built = Database(db.version, groups, homs, assertions)
+    groups.clear()
+    homs.clear()
+    assertions.clear()
+    with pytest.raises(TypeError):
+        built.groups[(S(6), 11)] = db.groups[(S(5), 10)]
+    assert type(built.homs) is tuple and type(built.assertions) is tuple
+    assert built.assertions == db.assertions        # qualified again
+    assert built == db and validate(built) == []
+    for entry in db.homs:
+        assert built.require_hom_entry(*entry.key).hom == entry.hom
+
+
 def test_hash_inside_quotes_is_not_a_comment():
     text = ('nielsendb v1\n'
             'group S(2) 2 = 1 [] gens a src "Toda #3"  # a real comment\n')
@@ -143,12 +168,41 @@ def test_hash_inside_quotes_is_not_a_comment():
 def test_serialize_refuses_quote_in_provenance(db):
     entry = db.groups[(S(6), 11)]
     quoted = entry.replace(provenance='say "hi"')
-    bad = db.replace(groups=MappingProxyType({**db.groups, entry.key: quoted}))
+    bad = db.replace(groups={**db.groups, entry.key: quoted})
     with pytest.raises(ValueError, match=r"pi_11\(S\(6\)\)"):
         serialize(bad)
     hom = db.homs[0].replace(provenance='say "hi"')
     with pytest.raises(ValueError, match=re.escape(db.homs[0].ref())):
         serialize(db.replace(homs=(hom,) + db.homs[1:]))
+
+
+def _with_group(db, **changes):
+    entry = db.groups[(S(6), 11)]
+    return db.replace(groups={**db.groups, entry.key: entry.replace(**changes)})
+
+
+# each of these is a line break to str.splitlines, so loads would read two lines
+LINE_BREAKS = ["a\nb", "a\r\nb", "a\rb", "\x0b", "a\x1c", "a\x85b", "a\u2028"]
+
+
+@pytest.mark.parametrize("provenance", LINE_BREAKS)
+def test_serialize_refuses_a_line_break_in_a_group_provenance(db, provenance):
+    with pytest.raises(ValueError, match=r"pi_11\(S\(6\)\): a provenance"):
+        serialize(_with_group(db, provenance=provenance))
+
+
+@pytest.mark.parametrize("provenance", LINE_BREAKS)
+def test_serialize_refuses_a_line_break_in_a_hom_provenance(db, provenance):
+    hom = db.homs[0].replace(provenance=provenance)
+    with pytest.raises(ValueError, match=re.escape(db.homs[0].ref())):
+        serialize(db.replace(homs=(hom,) + db.homs[1:]))
+
+
+@pytest.mark.parametrize("label", ["a b", "a\tb", "a\xa0", "a,b", "a#b", 'a"b',
+                                   "", "-"])
+def test_serialize_refuses_a_label_that_would_not_read_back(db, label):
+    with pytest.raises(ValueError, match=r"pi_11\(S\(6\)\): cannot write"):
+        serialize(_with_group(db, labels=(label,)))
 
 
 # ---------------------------------------------------------------------------

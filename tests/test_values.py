@@ -17,7 +17,7 @@ from nielsencalc.classifier import (
     classify_sphere_target,
     reidemeister_count,
 )
-from nielsencalc.fgab import FgAbGroup, Subgroup, identity_hom
+from nielsencalc.fgab import FgAbGroup, Homomorphism, Subgroup, identity_hom
 from nielsencalc.homotopy_db import (
     Assertion,
     Database,
@@ -91,15 +91,16 @@ def test_line_and_hom_are_left_out_of_eq_and_hash(db):
     assert Violation("k", "s", "m") != Violation("k", "s", "other")
 
 
-def test_a_database_refuses_an_entry_that_resolves_but_lacks_its_map(db):
+def test_a_database_gives_each_entry_the_map_of_its_own_matrix(db):
     hom = db.homs[0]
     bare = HomEntry(hom.name, hom.source, hom.target, hom.matrix, hom.provenance)
-    with pytest.raises(ValueError, match="must carry its map"):
-        db.replace(homs=(bare,) + db.homs[1:])
-    dangling = bare.replace(source=(S(9), 99))
-    violations = validate(db.replace(homs=(dangling,) + db.homs[1:]))
+    assert db.replace(homs=(bare,) + db.homs[1:]).homs[0].hom == hom.hom
+    dangling = hom.replace(source=(S(9), 99))       # passed with a map
+    assert dangling.hom is not None
+    rebuilt = db.replace(homs=(dangling,) + db.homs[1:])
+    assert rebuilt.homs[0].hom is None
     assert ("dangling_ref", dangling.ref()) in [(v.kind, v.subject)
-                                                for v in violations]
+                                                for v in validate(rebuilt)]
 
 
 def test_constructors_take_positional_keyword_and_default_forms():
@@ -287,6 +288,12 @@ def test_a_dimension_is_an_int_that_is_not_a_bool():
     for index in (2.0, True):
         with pytest.raises(ValueError, match="space index must be >= 1"):
             SpaceId.sphere(index)
+    with pytest.raises(ClassificationError):
+        LoosenessVerdict("R", 11.0, 6, False, True)
+    for call in (lambda: FgAbGroup(True, ()), lambda: Z.element((True,)),
+                 lambda: Homomorphism(Z, Z, [[True]])):
+        with pytest.raises(ValueError, match="integer"):
+            call()
 
 
 def test_lifts_and_residues_are_checked_on_every_call(db):
