@@ -336,11 +336,6 @@ def reference_strip_comment(raw: str) -> str:
     return raw if end < 0 else raw[:end]
 
 
-def _cut(token: str) -> str:
-    """A token as a message shows it: cut after 40 characters, with its length."""
-    return token if len(token) <= 40 else f"{token[:40]}…[{len(token)} characters]"
-
-
 def _space_parse(text: str) -> SpaceId:
     m = _SPHERE_RE.fullmatch(text)
     if m:
@@ -348,18 +343,18 @@ def _space_parse(text: str) -> SpaceId:
     m = _SPACE_RE.fullmatch(text)
     if m:
         return SpaceId(m.group(1), m.group(2), int(m.group(3)))
-    raise ValueError(f"cannot parse space {_cut(text)!r}")
+    raise ValueError(f"cannot parse space {text!r}")
 
 
 def _homref_parse(token: str) -> HomRef:
     name, _, rest = token.partition(":")
     if name not in HOM_NAMES:
-        raise ValueError(f"unknown homomorphism name {_cut(name)!r}")
+        raise ValueError(f"unknown homomorphism name {name!r}")
     if not rest:
         return HomRef(name)
     src_text, arrow, tgt_text = rest.partition("->")
     if not arrow:
-        raise ValueError(f"qualified hom reference {_cut(token)!r} needs '->'")
+        raise ValueError(f"qualified hom reference {token!r} needs '->'")
     return HomRef(name, _parse_space_m(src_text), _parse_space_m(tgt_text))
 
 
@@ -378,7 +373,7 @@ _VERSION_RE = re.compile(r'^nielsendb\s+(\S+)$')
 def _parse_space_m(text: str) -> tuple[SpaceId, int]:
     space_text, comma, m_text = text.strip().rpartition(",")
     if not comma or not re.fullmatch(_NUM, m_text):
-        raise ValueError(f"expected <space>,<m>, got {_cut(text)!r}")
+        raise ValueError(f"expected <space>,<m>, got {text!r}")
     return _space_parse(space_text.strip()), int(m_text)
 
 
@@ -447,8 +442,14 @@ def _build(version, groups, homs, assertions) -> Database:
             entry, _ = _lookup(entries, ref, assertion.line)
             refs.append(ref if entry is None else HomRef(*entry.key))
         qualified.append(Assertion(assertion.kind, tuple(refs), assertion.line))
-    return Database(version, MappingProxyType(groups), tuple(entries),
-                    tuple(qualified))
+    db = Database(version, MappingProxyType(groups), tuple(entries),
+                  tuple(qualified))
+    # Database resolves and qualifies again with the program's own rules;
+    # it must leave the reference's answer as it is
+    assert [(e.key, e.matrix, e.hom is None) for e in db.homs] == [
+        (e.key, e.matrix, e.hom is None) for e in entries]
+    assert db.assertions == tuple(qualified)
+    return db
 
 
 def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
@@ -489,7 +490,7 @@ def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
         name = m.group(1)
         if name not in HOM_NAMES:
             violations.append(Violation(
-                "parse", _cut(name),
+                "parse", name,
                 f"unknown homomorphism name (expected one of "
                 f"{', '.join(sorted(HOM_NAMES))})", lineno))
             return
@@ -512,7 +513,7 @@ def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
         assertions.append(Assertion(directive.removeprefix("assert_"),
                                     tuple(_homref_parse(r) for r in refs), lineno))
     else:
-        raise ValueError(f"unrecognized directive {_cut(directive)!r}")
+        raise ValueError(f"unrecognized directive {directive!r}")
 
 
 def _resolve(groups, entry: HomEntry):

@@ -97,7 +97,7 @@ def test_check_never_raises(text):
 # ---------------------------------------------------------------------------
 # the str-method grammar against the seven regular expressions it replaced
 
-from oracles import _resolve as reference_resolve, reference_check  # noqa: E402
+from oracles import reference_check  # noqa: E402
 
 # letters are few, so that most edits touch the punctuation and digits
 # the grammar turns on
@@ -143,10 +143,6 @@ def _outcome(result):
     found = [(v.kind, v.subject, v.message, v.line) for v in violations]
     if db is None:
         return None, found
-    # a Database resolves its entries itself, the reference's too, so the
-    # reference resolver checks which entries resolve on either side
-    assert [e.hom is None for e in db.homs] == [
-        reference_resolve(db.groups, e)[0] is None for e in db.homs]
     return (db.version,
             [(e.key, e.group, e.labels, e.provenance, e.line)
              for e in db.groups.values()],
@@ -180,3 +176,20 @@ def _rank_32_database():
 @example('nielsendb v1\nhom 2nd_map S(2),2 -> S(3),3 matrix [[1]] src "c"')
 def test_grammar_agrees_with_the_regular_expressions(text):
     assert _outcome(hdb.check(text)) == _outcome(reference_check(text))
+
+
+def test_references_are_qualified_as_the_regular_expressions_qualify_them():
+    # a bare reference is qualified only when it names one entry: the
+    # fuzzed texts above seldom hold two entries of one name
+    text = "\n".join(["nielsendb v1"] + VALID_LINES + [
+        'hom suspension_E S(6),6 -> S(5),5 matrix [[0]] src "s"',
+        "assert_zero fiber_incl",
+        "assert_zero boundary_K:S(5),5->S(6),6",
+    ]) + "\n"
+    outcome = _outcome(hdb.check(text))
+    assert outcome == _outcome(reference_check(text))
+    (_, _, _, assertions), found = outcome
+    assert [refs[0].source is None for _, refs, _ in assertions] == [
+        False, False, True, False, False]
+    assert [kind for kind, *_ in found] == [
+        "ambiguous_ref", "assert_zero", "unknown_hom"]
