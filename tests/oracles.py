@@ -319,7 +319,8 @@ def reference_table_conditions(db: Database, f1: ProjectiveClass,
 # functions _space_parse, _homref_parse and _validate, and a number became
 # _NUM: no longer than int() converts (0 digits: no limit).  Comments are
 # stripped by reference_strip_comment, the earlier definition of
-# homotopy_db._strip_comment.
+# homotopy_db._strip_comment.  A token that a message quotes goes through
+# _shown, the README's rule for long tokens.
 
 _MAX_DIGITS = _max_str_digits()
 _NUM = f"[0-9]{{1,{_MAX_DIGITS or ''}}}"
@@ -336,6 +337,14 @@ def reference_strip_comment(raw: str) -> str:
     return raw if end < 0 else raw[:end]
 
 
+def _shown(token: str) -> str:
+    """A token as a violation shows it: whole up to 40 characters, else its
+    first 40 characters followed by "…[N characters]", N its length."""
+    if len(token) > 40:
+        return token[:40] + "…[" + str(len(token)) + " characters]"
+    return token
+
+
 def _space_parse(text: str) -> SpaceId:
     m = _SPHERE_RE.fullmatch(text)
     if m:
@@ -343,18 +352,18 @@ def _space_parse(text: str) -> SpaceId:
     m = _SPACE_RE.fullmatch(text)
     if m:
         return SpaceId(m.group(1), m.group(2), int(m.group(3)))
-    raise ValueError(f"cannot parse space {text!r}")
+    raise ValueError(f"cannot parse space {_shown(text)!r}")
 
 
 def _homref_parse(token: str) -> HomRef:
     name, _, rest = token.partition(":")
     if name not in HOM_NAMES:
-        raise ValueError(f"unknown homomorphism name {name!r}")
+        raise ValueError(f"unknown homomorphism name {_shown(name)!r}")
     if not rest:
         return HomRef(name)
     src_text, arrow, tgt_text = rest.partition("->")
     if not arrow:
-        raise ValueError(f"qualified hom reference {token!r} needs '->'")
+        raise ValueError(f"qualified hom reference {_shown(token)!r} needs '->'")
     return HomRef(name, _parse_space_m(src_text), _parse_space_m(tgt_text))
 
 
@@ -373,7 +382,7 @@ _VERSION_RE = re.compile(r'^nielsendb\s+(\S+)$')
 def _parse_space_m(text: str) -> tuple[SpaceId, int]:
     space_text, comma, m_text = text.strip().rpartition(",")
     if not comma or not re.fullmatch(_NUM, m_text):
-        raise ValueError(f"expected <space>,<m>, got {text!r}")
+        raise ValueError(f"expected <space>,<m>, got {_shown(text)!r}")
     return _space_parse(space_text.strip()), int(m_text)
 
 
@@ -490,7 +499,7 @@ def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
         name = m.group(1)
         if name not in HOM_NAMES:
             violations.append(Violation(
-                "parse", name,
+                "parse", _shown(name),
                 f"unknown homomorphism name (expected one of "
                 f"{', '.join(sorted(HOM_NAMES))})", lineno))
             return
@@ -513,7 +522,7 @@ def _parse_line(groups: dict, homs: dict, assertions: list, line: str,
         assertions.append(Assertion(directive.removeprefix("assert_"),
                                     tuple(_homref_parse(r) for r in refs), lineno))
     else:
-        raise ValueError(f"unrecognized directive {directive!r}")
+        raise ValueError(f"unrecognized directive {_shown(directive)!r}")
 
 
 def _resolve(groups, entry: HomEntry):

@@ -174,6 +174,7 @@ def _rank_32_database():
 @example('nielsendb v1\nhom suspension_E S(2),2 -> S(3),3 matrix [[1],\xa0[2]] src "c"')
 @example('nielsendb v1\nhom suspension_E S(2),2 -> S(3),3 matrix [[01]] src "c"')
 @example('nielsendb v1\nhom 2nd_map S(2),2 -> S(3),3 matrix [[1]] src "c"')
+@example("nielsendb v1\n" + "[" * 40 + "]" * 40)
 def test_grammar_agrees_with_the_regular_expressions(text):
     assert _outcome(hdb.check(text)) == _outcome(reference_check(text))
 
