@@ -132,7 +132,9 @@ def _check_slice_key(K: str, m: int, nprime: int) -> None:  # of S^m -> KP(n')
 
 
 def _sphere_key(db: Database, m: int, n: int) -> tuple[SpaceId, int]:  # of pi_m(S^n)
-    if not (_int_at_least(m, 1) and _int_at_least(n, 1)):
+    # exact ints are checked inline; anything else goes through the rule
+    if not (m >= 1 and n >= 1 if type(m) is type(n) is int
+            else _int_at_least(m, 1) and _int_at_least(n, 1)):
         raise ClassificationError("m and n must be >= 1")
     return db._spheres.get(n) or SpaceId.sphere(n), m
 

@@ -15,14 +15,16 @@ cokernel of exact_at's left map; V for kernel and paired_injective (a
 kernel of a composite) and for image types (exact_at's right map,
 Subgroup.isomorphism_type, which builds its map Z^k -> ambient at each
 call); U for membership without a witness (_image_contains, the
-classifier's im E test); both for in_image.  exact_at compares
+classifier's im E test); both for in_image.  An onto map's image type
+is its target, read off D; only other maps read V for it, presenting
+the image by the kernel lattice in a second SNF.  exact_at compares
 invariant factors, which suffices because f.g. abelian groups are
-Hopfian.  A query that holds canonical coordinates needs no
-GroupElement: Homomorphism._apply maps them to canonical target
-coordinates and _image_contains tests them against im(h), neither
-checking its input.  All integers are arbitrary precision and every
-value is immutable after construction, so values can be shared freely
-between threads.
+Hopfian, and tests the composite column by column without building it.
+A query that holds canonical coordinates needs no GroupElement:
+Homomorphism._apply maps them to canonical target coordinates and
+_image_contains tests them against im(h), neither checking its input.
+All integers are arbitrary precision and every value is immutable after
+construction, so values can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ def _snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int,
     order; this makes the output deterministic.  U is None unless want_u
     and V is None unless want_v; the pivots and D do not depend on them.
     kernel (and through it paired_injective) and _image_type (the right
-    map of exact_at, Subgroup.isomorphism_type) want V; _image_contains
+    map of exact_at, Subgroup.isomorphism_type) want V, which _image_type
+    reads only for a map that is not onto; _image_contains
     (the classifier's im E test) wants U; in_image wants both, and so
     does smith_normal_form, which transposes V; is_surjective, the left
     map of exact_at and FgAbGroup.from_presentation want neither.
@@ -530,9 +533,13 @@ def _image_contains(h: Homomorphism, coords: Sequence[int]) -> bool:
 
 
 def _image_type(h: Homomorphism) -> FgAbGroup:
-    """Isomorphism type of im(h), presented as Z^source.dim modulo the
-    lattice of source vectors that h sends to zero."""
-    return FgAbGroup.from_presentation(h.source.dim, _kernel_lattice(h))
+    """Isomorphism type of im(h): h.target when h is onto, read off the D
+    that _kernel_lattice cached; else Z^source.dim modulo the lattice of
+    source vectors that h sends to zero."""
+    lattice = _kernel_lattice(h)
+    if is_surjective(h):
+        return h.target
+    return FgAbGroup.from_presentation(h.source.dim, lattice)
 
 
 def is_surjective(h: Homomorphism) -> bool:
@@ -563,11 +570,13 @@ def exact_at(left: Homomorphism, right: Homomorphism) -> bool:
     im(right).  F.g. abelian groups are Hopfian: a surjection between
     isomorphic ones is injective.  Hence H = K exactly when coker(left),
     read off the diagonal of left's augmented SNF, is isomorphic to
-    im(right).  No transform of left and no membership solve is needed.
+    im(right), which is right.target when right is onto.  No transform
+    of left, no membership solve and no composite map is needed.
     """
     if left.target != right.source:
         raise ValueError("shape mismatch: left.target must equal right.source")
-    if not compose(right, left).is_zero_map():
+    # the composite, one column at a time: the first nonzero one decides
+    if any(map(any, map(right._apply, zip(*left.matrix)))):
         return False
     _, d, _, rank, nrows, _ = left._augmented(want_u=False, want_v=False)
     coker = FgAbGroup(nrows - rank,

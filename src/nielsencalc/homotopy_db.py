@@ -378,6 +378,12 @@ def _hom_fields(line: str):
 _BAD_MATRIX = ("bad matrix literal: expected a list of rows of decimal "
                "integers, such as [[1,0],[-2,3]]")
 
+# a matrix literal's shape: '[' and ',' start a number, so both read ','; a
+# digit 1-9 reads '1' and any other ASCII character but ']', '-' and '0' 'x'
+_SHAPE = str.maketrans({**dict.fromkeys(map(chr, range(128)), "x"), "[": ",",
+                        ",": ",", "]": "]", "-": "-", "0": "0",
+                        **dict.fromkeys("123456789", "1")})
+
 
 def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
     """The rows of a matrix literal, given with its outer brackets."""
@@ -390,12 +396,20 @@ def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
         if not bracket or sep.strip(" \t") != ",":
             raise ValueError(_BAD_MATRIX)
     items = [body.split(",") for body in bodies]
-    try:
-        rows = tuple(tuple(map(int, row)) for row in items)
-    except ValueError:
-        rows = ()
-    if [list(map(str, row)) for row in rows] != items:
-        # blanks, -0 or an empty row: check the text of every row, then convert
+    # fast path: ASCII brackets, commas, '-' and digits only, with no '-0'
+    # and no number with a leading zero, checked on the whole text at
+    # once; int() then refuses the rest ('--', a lone '-', an empty item)
+    shape = text.translate(_SHAPE)
+    rows = None
+    if (shape.isascii() and "x" not in shape and "-0" not in shape
+            and ",00" not in shape and ",01" not in shape):
+        try:
+            rows = tuple(tuple(map(int, row)) for row in items)
+        except ValueError:
+            pass
+    if rows is None:
+        # blanks, -0, an empty row or too many digits: check the text of
+        # every row, then convert
         items = [[x.strip(" \t") for x in row] for row in items]
         items = [[] if row == [""] else row for row in items]
         if not all(d == "0" or _digits(d) and d[0] != "0"
@@ -654,7 +668,8 @@ def _quoted(subject: str, provenance: str) -> str:
 def serialize(db: Database) -> str:
     """Canonical text form; loads(serialize(db)) equals db.  ValueError
     for what would not read back: a provenance with '"' or a line break, a
-    label with whitespace, ',', '#' or '"', or a lone label '' or '-'."""
+    label with whitespace, ',', '#' or '"', a lone label '' or '-', a label
+    count other than the group's dimension, or a hom name not in HOM_NAMES."""
     lines = [f"nielsendb {db.version}", ""]
     for entry in sorted(db.groups.values(), key=lambda e: (str(e.space), e.m)):
         subject = f"pi_{entry.m}({entry.space})"
@@ -662,12 +677,18 @@ def serialize(db: Database) -> str:
                 or entry.labels in (("",), ("-",))):
             raise ValueError(
                 f"{subject}: cannot write the generator labels {entry.labels!r}")
+        if len(entry.labels) != entry.group.dim:
+            raise ValueError(f"{subject}: {len(entry.labels)} generator labels "
+                             f"for {entry.group.dim} generators")
         torsion = ",".join(str(d) for d in entry.group.torsion)
         labels = ",".join(entry.labels) if entry.labels else "-"
         lines.append(
             f"group {entry.space} {entry.m} = {entry.group.free_rank} "
             f"[{torsion}] gens {labels} src " + _quoted(subject, entry.provenance))
     for entry in sorted(db.homs, key=lambda e: str(e.key)):
+        if entry.name not in HOM_NAMES:
+            raise ValueError(
+                f"{entry.ref()}: cannot write the homomorphism name {entry.name!r}")
         s, sm = entry.source
         t, tm = entry.target
         matrix = "[" + ",".join("[" + ",".join(str(x) for x in row) + "]"

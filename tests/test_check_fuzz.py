@@ -163,6 +163,11 @@ def _rank_32_database():
             "assert_surjective suspension_E\n")
 
 
+def _literal_database(literal):
+    return ("nielsendb v1\n" + "\n".join(VALID_LINES[:2]) + "\n"
+            f'hom suspension_E S(5),5 -> S(6),6 matrix {literal} src "c"\n')
+
+
 @settings(max_examples=2000, deadline=None, database=None, derandomize=True)
 @given(st.one_of(_database_text(), _edited_database()))
 @example(_rank_32_database())
@@ -175,6 +180,15 @@ def _rank_32_database():
 @example('nielsendb v1\nhom suspension_E S(2),2 -> S(3),3 matrix [[01]] src "c"')
 @example('nielsendb v1\nhom 2nd_map S(2),2 -> S(3),3 matrix [[1]] src "c"')
 @example("nielsendb v1\n" + "[" * 40 + "]" * 40)
+# literals on both sides of the matrix parser's fast path
+@example(_literal_database("[[--1]]"))
+@example(_literal_database("[[-01]]"))
+@example(_literal_database("[[00]]"))
+@example(_literal_database("[[1-2]]"))
+@example(_literal_database("[[-]]"))
+@example(_literal_database("[[1,]]"))
+@example(_literal_database("[[]]"))
+@example(_literal_database("[[10,-0]]"))
 def test_grammar_agrees_with_the_regular_expressions(text):
     assert _outcome(hdb.check(text)) == _outcome(reference_check(text))
 

@@ -495,6 +495,10 @@ def test_exact_at_matches_membership_reference():
         for left in _left_maps(rng, right, a):
             expected = reference_exact_at(_fresh(left), _fresh(right))
             assert exact_at(left, right) == expected
-            outcomes.add((expected, compose(right, left).is_zero_map()))
-    # exact pairs, pairs with im < ker, and pairs with a nonzero composite
-    assert outcomes == {(True, True), (False, True), (False, False)}
+            outcomes.add((expected, compose(right, left).is_zero_map(),
+                           is_surjective(right)))
+    # exact pairs, pairs with im < ker, and pairs with a nonzero composite,
+    # each with a right map that is onto and with one that is not
+    assert outcomes == {(*pair, onto)
+                        for pair in [(True, True), (False, True), (False, False)]
+                        for onto in (True, False)}

@@ -205,6 +205,20 @@ def test_serialize_refuses_a_label_that_would_not_read_back(db, label):
         serialize(_with_group(db, labels=(label,)))
 
 
+def test_serialize_refuses_a_label_count_other_than_the_dimension(db):
+    for labels in [(), ("a", "b")]:
+        with pytest.raises(ValueError, match=r"pi_11\(S\(6\)\): "
+                           f"{len(labels)} generator labels for 1 generators"):
+            serialize(_with_group(db, labels=labels))
+
+
+def test_serialize_refuses_a_hom_name_that_loads_does_not_know(db):
+    hom = db.homs[0].replace(name="frobnicate")
+    with pytest.raises(ValueError, match=re.escape(hom.ref())
+                       + ": cannot write the homomorphism name 'frobnicate'"):
+        serialize(db.replace(homs=(hom,) + db.homs[1:]))
+
+
 # ---------------------------------------------------------------------------
 # corrupted variants (string surgery on the shipped file)
 
@@ -646,3 +660,41 @@ def test_load_computes_each_augmented_snf_once_without_u(monkeypatch, source):
     assert len({id(h) for h in homs}) == len(homs)
     assert all(any(h is e.hom for e in db.homs) for h in homs)
     assert not any(want_u for _, want_u in computed)
+
+
+def _record_presentations(monkeypatch):
+    """The right maps whose image type FgAbGroup.from_presentation builds
+    while the patch is in place, one per call, and the fgab.compose calls."""
+    presented, composed, asking = [], [], []
+    real_present = FgAbGroup.from_presentation
+    real_image_type, real_compose = fgab._image_type, fgab.compose
+
+    def present(num_generators, relations):
+        presented.append(asking[-1] if asking else None)
+        return real_present(num_generators, relations)
+
+    def image_type(h):
+        asking.append(h)
+        try:
+            return real_image_type(h)
+        finally:
+            asking.pop()
+
+    def compose(g, h):
+        composed.append((g, h))
+        return real_compose(g, h)
+
+    monkeypatch.setattr(FgAbGroup, "from_presentation", staticmethod(present))
+    monkeypatch.setattr(fgab, "_image_type", image_type)
+    monkeypatch.setattr(fgab, "compose", compose)
+    return presented, composed
+
+
+def test_load_presents_an_image_only_for_a_right_map_that_is_not_onto(monkeypatch):
+    presented, composed = _record_presentations(monkeypatch)
+    loads(_slice_text(*_rank12_slice()))
+    assert (presented, composed) == ([], [])
+    db = load_default()
+    not_onto = db.get_hom("boundary_K", (S(6), 6), (S(5), 5))
+    assert len(presented) == 1 and presented[0] is not_onto
+    assert composed == []

@@ -265,6 +265,10 @@ def test_a_failed_resolve_is_raised_again(hom_lookups):
             self_verdict(slim, "R", 1, 6, f.lift)
 
 
+class _Dim(int):
+    pass
+
+
 def test_a_dimension_is_an_int_that_is_not_a_bool():
     db = load_default()
     lift = _rp11(db, 1).lift
@@ -276,6 +280,8 @@ def test_a_dimension_is_an_int_that_is_not_a_bool():
         lambda: ProjectiveClass("R", 11, True, lift),
         lambda: reidemeister_count("R", 2.5),
         lambda: classify_sphere_target(db, 11.0, 6, c, c),
+        lambda: classify_sphere_target(db, 11, True, c, c),
+        lambda: classify_sphere_target(db, 11, 0, c, c),
         lambda: SpaceFormQuery(5, True, False),
     ]
     for memoised in (False, True):      # 11.0 hashes like the key 11
@@ -285,6 +291,9 @@ def test_a_dimension_is_an_int_that_is_not_a_bool():
         assert list(db._slices) == ([("R", 11, 6)] if memoised else [])
         self_verdict(db, "R", 11, 6, lift)
     assert type(list(db._slices)[0][1]) is int
+    # an int subclass is an int to the rule, whichever path checks it
+    assert (classify_sphere_target(db, _Dim(11), _Dim(6), c, c)
+            == classify_sphere_target(db, 11, 6, c, c))
     for index in (2.0, True):
         with pytest.raises(ValueError, match="space index must be >= 1"):
             SpaceId.sphere(index)
