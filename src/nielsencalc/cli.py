@@ -9,10 +9,17 @@ stderr.  Each answer or verdict becomes one document (_document):
 text form (_text) reads the document alone.  Exit codes: 0 success,
 2 usage error, 3 insufficient database data, 4 database validation
 failure or database data that contradicts the classification.
+
+console_main, the entry of the nielsencalc script and of python -m
+nielsencalc, freezes the collector's generations before it runs main:
+what start-up and the import built is then neither traversed by the
+collections of the call nor collected at shutdown, so a call ends
+without tearing down that heap.  main itself freezes nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -385,6 +392,9 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
+    # what exists now lives until the process exits, so no collection
+    # needs to traverse it and shutdown need not free it
+    gc.freeze()
     sys.exit(main())
 
 

@@ -16,8 +16,8 @@ kernel of a composite) and for image types (exact_at's right map,
 Subgroup.isomorphism_type, which builds its map Z^k -> ambient at each
 call); U for membership without a witness (_image_contains, the
 classifier's im E test); both for in_image.  An onto map's image type
-is its target, read off D; only other maps read V for it, presenting
-the image by the kernel lattice in a second SNF.  exact_at compares
+is its target, read off D; only a map that is not onto gets V for it,
+presenting the image by the kernel lattice in a second SNF.  exact_at compares
 invariant factors, which suffices because f.g. abelian groups are
 Hopfian, and tests the composite column by column without building it.
 A query that holds canonical coordinates needs no GroupElement:
@@ -84,8 +84,8 @@ def _snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int,
     order; this makes the output deterministic.  U is None unless want_u
     and V is None unless want_v; the pivots and D do not depend on them.
     kernel (and through it paired_injective) and _image_type (the right
-    map of exact_at, Subgroup.isomorphism_type) want V, which _image_type
-    reads only for a map that is not onto; _image_contains
+    map of exact_at, Subgroup.isomorphism_type) want V, _image_type only
+    for a map that is not onto; _image_contains
     (the classifier's im E test) wants U; in_image wants both, and so
     does smith_normal_form, which transposes V; is_surjective, the left
     map of exact_at and FgAbGroup.from_presentation want neither.
@@ -533,13 +533,12 @@ def _image_contains(h: Homomorphism, coords: Sequence[int]) -> bool:
 
 
 def _image_type(h: Homomorphism) -> FgAbGroup:
-    """Isomorphism type of im(h): h.target when h is onto, read off the D
-    that _kernel_lattice cached; else Z^source.dim modulo the lattice of
-    source vectors that h sends to zero."""
-    lattice = _kernel_lattice(h)
+    """Isomorphism type of im(h): h.target when h is onto, read off a
+    D-only SNF; else Z^source.dim modulo the lattice of source vectors
+    that h sends to zero, which a second SNF with V gives."""
     if is_surjective(h):
         return h.target
-    return FgAbGroup.from_presentation(h.source.dim, lattice)
+    return FgAbGroup.from_presentation(h.source.dim, _kernel_lattice(h))
 
 
 def is_surjective(h: Homomorphism) -> bool:

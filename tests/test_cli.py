@@ -1,3 +1,5 @@
+import ast
+import gc
 import json
 import os
 import subprocess
@@ -11,7 +13,15 @@ import pytest
 import nielsencalc
 from nielsencalc import cli, homotopy_db
 from nielsencalc.cli import main
-from test_golden_cli import ANSWER_COMMANDS, ERROR_COMMANDS, README_COMMANDS
+from test_golden_cli import (
+    ANSWER_COMMANDS,
+    ARGPARSE_COMMANDS,
+    COLUMNS,
+    ERROR_COMMANDS,
+    README_COMMANDS,
+    _expected,
+    _write_databases,
+)
 
 
 def run(capsys, *argv):
@@ -395,14 +405,14 @@ def test_deterministic_output(capsys):
     assert runs[0] == runs[1]
 
 
-def _child(*args):
+def _child(*args, text=True):
     # the child imports the package this process imported, also when the
     # test run put src/ on sys.path without setting PYTHONPATH
     package_root = str(Path(nielsencalc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env)
+                          text=text, env=env)
 
 
 def test_module_invocation_subprocess():
@@ -410,6 +420,55 @@ def test_module_invocation_subprocess():
                   "--n", "3", "--homotopic", "false")
     assert proc.returncode == 0
     assert "N#=MCC=7" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the console entry: a frozen heap, and the output that main() gives
+
+def test_console_main_freezes_before_main_runs_and_main_does_not(
+        monkeypatch, capsys):
+    before = gc.get_freeze_count()
+    assert main(README_COMMANDS[0]) == 0
+    assert gc.get_freeze_count() == before
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.get_freeze_count()))
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.console_main()
+    finally:
+        gc.unfreeze()
+    assert exit_.value.code is None
+    assert len(seen) == 1 and seen[0] > before
+
+
+def test_every_entry_point_goes_through_console_main():
+    main_py = Path(nielsencalc.__file__).with_name("__main__.py")
+    assert [ast.unparse(node) for node in ast.parse(main_py.read_text()).body] == [
+        "from .cli import console_main", "console_main()"]
+    tomllib = pytest.importorskip("tomllib")     # Python 3.11 on
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))[
+        "project"]["scripts"]
+    assert scripts == {"nielsencalc": "nielsencalc.cli:console_main"}
+
+
+CONSOLE_COMMANDS = ([argv + ["--output", mode] for argv in README_COMMANDS
+                     for mode in ("text", "machine")]
+                    + ERROR_COMMANDS + ARGPARSE_COMMANDS)
+
+
+@pytest.mark.parametrize("argv", CONSOLE_COMMANDS, ids=" ".join)
+def test_console_entry_writes_the_golden_transcript(argv, tmp_path, monkeypatch):
+    # exits 0, 2, 3 and 4 each flush their output from a frozen heap
+    monkeypatch.delenv("NIELSEN_DB", raising=False)
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    monkeypatch.chdir(tmp_path)
+    _write_databases(tmp_path)
+    proc = _child("-m", "nielsencalc", *argv, text=False)
+    expected = _expected()[tuple(argv)]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        expected["exit"], expected["stdout"].encode("utf-8"),
+        expected["stderr"].encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -628,14 +628,14 @@ def test_rank12_exactness_matches_membership_reference(seed):
 
 
 def _record_augmented_snfs(monkeypatch):
-    """(homomorphism, want_u) for each SNF that Homomorphism._augmented
-    computes while the patch is in place."""
+    """(homomorphism, want_u, want_v) for each SNF that
+    Homomorphism._augmented computes while the patch is in place."""
     computed, asking = [], []
     real_snf, real_augmented = fgab._snf, Homomorphism._augmented
 
     def snf(matrix, nrows, ncols, want_u, want_v):
         if asking:
-            computed.append((asking[-1], want_u))
+            computed.append((asking[-1], want_u, want_v))
         return real_snf(matrix, nrows, ncols, want_u, want_v)
 
     def augmented(self, want_u, want_v):
@@ -650,16 +650,38 @@ def _record_augmented_snfs(monkeypatch):
     return computed
 
 
+def _load(source):
+    return (load_default() if source == "default"
+            else loads(_slice_text(*_rank12_slice())))
+
+
 @pytest.mark.parametrize("source", ["default", "rank12"])
 def test_load_computes_each_augmented_snf_once_without_u(monkeypatch, source):
+    # but for the one right map of an assert_exact that is not onto,
+    # boundary_K on (R, 6, 6): its kernel lattice needs a second SNF, with V
     computed = _record_augmented_snfs(monkeypatch)
-    db = (load_default() if source == "default"
-          else loads(_slice_text(*_rank12_slice())))
+    db = _load(source)
     assert computed
-    homs = [h for h, _ in computed]
-    assert len({id(h) for h in homs}) == len(homs)
+    homs = [h for h, _, _ in computed]
+    again = [(h, want_v) for h, _, want_v in computed
+             if sum(g is h for g in homs) > 1]
+    not_onto = db.get_hom("boundary_K", (S(6), 6), (S(5), 5))
+    assert again == ([(not_onto, False), (not_onto, True)]
+                     if source == "default" else [])
     assert all(any(h is e.hom for e in db.homs) for h in homs)
-    assert not any(want_u for _, want_u in computed)
+    assert not any(want_u for _, want_u, _ in computed)
+
+
+@pytest.mark.parametrize("source", ["default", "rank12"])
+def test_load_leaves_no_onto_right_map_holding_v(source):
+    db = _load(source)
+    right = [db.get_hom(ref.name, ref.source, ref.target)
+             for ref in (a.refs[1] for a in db.assertions if a.kind == "exact")]
+    # (onto, holds V) for each right map
+    seen = sorted((fgab.is_surjective(h), h._snf_cache[2] is not None)
+                  for h in right)
+    assert seen == ([(False, True)] + [(True, False)] * 4
+                    if source == "default" else [(True, False)])
 
 
 def _record_presentations(monkeypatch):
