@@ -11,15 +11,14 @@ text form (_text) reads the document alone.  Exit codes: 0 success,
 failure or database data that contradicts the classification.
 
 console_main, the entry of the nielsencalc script and of python -m
-nielsencalc, freezes the collector's generations before it runs main:
-what start-up and the import built is then neither traversed by the
-collections of the call nor collected at shutdown, so a call ends
-without tearing down that heap.  main itself freezes nothing.
+nielsencalc, ends the process with os._exit once main has returned and
+stdout and stderr are flushed, so a call skips interpreter teardown;
+a broken pipe ends it silently with exit 1.  main itself only returns
+its exit code.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -392,10 +391,16 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    # what exists now lives until the process exits, so no collection
-    # needs to traverse it and shutdown need not free it
-    gc.freeze()
-    sys.exit(main())
+    # the process ends here: module teardown, the last collection and
+    # freeing the heap would only delay the exit
+    try:
+        code = main()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:      # None when the fd was closed at start
+                stream.flush()
+    except BrokenPipeError:     # the reader left; what is unwritten is lost
+        os._exit(1)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,10 @@
 import ast
-import gc
 import json
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from io import StringIO
+from io import BufferedWriter, BytesIO, StringIO, TextIOWrapper
 from pathlib import Path
 
 import pytest
@@ -405,14 +404,19 @@ def test_deterministic_output(capsys):
     assert runs[0] == runs[1]
 
 
-def _child(*args, text=True):
+def _child(*args, text=True, unbuffered=None, stdout=subprocess.PIPE, **run):
     # the child imports the package this process imported, also when the
-    # test run put src/ on sys.path without setting PYTHONPATH
+    # test run put src/ on sys.path without setting PYTHONPATH;
+    # unbuffered=None keeps this process's PYTHONUNBUFFERED
     package_root = str(Path(nielsencalc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=text, env=env)
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=text, env=env, **run)
 
 
 def test_module_invocation_subprocess():
@@ -423,22 +427,93 @@ def test_module_invocation_subprocess():
 
 
 # ---------------------------------------------------------------------------
-# the console entry: a frozen heap, and the output that main() gives
+# the console entry: flush, then os._exit with the code that main() gives
 
-def test_console_main_freezes_before_main_runs_and_main_does_not(
-        monkeypatch, capsys):
-    before = gc.get_freeze_count()
-    assert main(README_COMMANDS[0]) == 0
-    assert gc.get_freeze_count() == before
+class _Exited(Exception):
+    pass
+
+
+def test_console_main_flushes_both_streams_then_exits_with_the_code(
+        monkeypatch):
+    raw = {name: BytesIO() for name in ("stdout", "stderr")}
+    for name in raw:
+        monkeypatch.setattr(sys, name, TextIOWrapper(BufferedWriter(raw[name])))
+
+    def written():
+        return raw["stdout"].getvalue(), raw["stderr"].getvalue()
+
+    def fake_main():
+        print("answer")
+        print("note", file=sys.stderr)
+        assert written() == (b"", b"")      # both still in their buffers
+        return 3
+
     seen = []
-    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.get_freeze_count()))
+
+    def fake_exit(code):
+        seen.append((code, written()))
+        raise _Exited
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    with pytest.raises(_Exited):
+        cli.console_main()
+    assert seen == [(3, (b"answer\n", b"note\n"))]
+
+
+_NOTHING_LEFT_FOR_EXIT = """
+import atexit, contextlib, io, json, threading
+before = [atexit._ncallbacks(), threading.active_count()]
+from nielsencalc.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in %r]
+print(json.dumps([before, [atexit._ncallbacks(), threading.active_count()], codes]))
+"""
+
+
+def test_a_call_leaves_no_atexit_hook_or_thread_that_os_exit_would_skip():
+    argvs = [README_COMMANDS[0], README_COMMANDS[0] + ["--output", "machine"],
+             ["db-show"], ARGPARSE_COMMANDS[2]]
+    proc = _child("-c", _NOTHING_LEFT_FOR_EXIT % (argvs,))
+    assert proc.returncode == 0, proc.stderr
+    before, after, codes = json.loads(proc.stdout)
+    assert after == before
+    assert codes == [0, 0, 0, 2]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_a_reader_that_left_ends_the_call_silently_with_exit_1(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
     try:
-        with pytest.raises(SystemExit) as exit_:
-            cli.console_main()
+        proc = _child("-m", "nielsencalc", "db-show", unbuffered=unbuffered,
+                      stdout=write_end)
     finally:
-        gc.unfreeze()
-    assert exit_.value.code is None
-    assert len(seen) == 1 and seen[0] > before
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_a_call_with_stdout_closed_at_start_exits_0(monkeypatch):
+    monkeypatch.delenv("NIELSEN_DB", raising=False)
+    argv = README_COMMANDS[0] + ["--output", "text"]
+    proc = _child("-m", "nielsencalc", *argv, stdout=subprocess.DEVNULL,
+                  preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, _expected()[tuple(argv)]["stderr"])
+
+
+def test_a_buffered_output_larger_than_a_pipe_buffer_arrives_whole(
+        tmp_path, capsys):
+    labels = ",".join(f"gen{i:05d}" for i in range(10000))
+    db = tmp_path / "wide.nielsendb"
+    db.write_text(f'nielsendb v1\ngroup S(3) 3 = 10000 [] gens {labels} src "wide"\n',
+                  encoding="utf-8")
+    argv = ["db-show", "--db", str(db)]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    assert len(expected) > 1 << 16
+    proc = _child("-m", "nielsencalc", *argv, unbuffered=False, text=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
 
 
 def test_every_entry_point_goes_through_console_main():
@@ -457,14 +532,17 @@ CONSOLE_COMMANDS = ([argv + ["--output", mode] for argv in README_COMMANDS
                     + ERROR_COMMANDS + ARGPARSE_COMMANDS)
 
 
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", CONSOLE_COMMANDS, ids=" ".join)
-def test_console_entry_writes_the_golden_transcript(argv, tmp_path, monkeypatch):
-    # exits 0, 2, 3 and 4 each flush their output from a frozen heap
+def test_console_entry_writes_the_golden_transcript(argv, unbuffered, tmp_path,
+                                                    monkeypatch):
+    # exits 0, 2, 3 and 4 each flush their output before os._exit
     monkeypatch.delenv("NIELSEN_DB", raising=False)
     monkeypatch.setenv("COLUMNS", COLUMNS)
     monkeypatch.chdir(tmp_path)
     _write_databases(tmp_path)
-    proc = _child("-m", "nielsencalc", *argv, text=False)
+    proc = _child("-m", "nielsencalc", *argv, text=False, unbuffered=unbuffered)
     expected = _expected()[tuple(argv)]
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         expected["exit"], expected["stdout"].encode("utf-8"),
