@@ -254,9 +254,11 @@ class SpaceFormQuery(Frozen):
 
 def table_conditions(db: Database, f1: ProjectiveClass,
                      f2: ProjectiveClass) -> tuple[bool, ...]:
-    """Evaluate the seven case conditions literally, in table order, on
-    canonical coordinates: resolve has checked the lifts' parents.  One
-    tuple serves every K, with "K = R" and "K = C or H" as conjuncts."""
+    """Evaluate the seven case conditions in table order, on canonical
+    coordinates: resolve has checked the lifts' parents.  One tuple serves
+    every K, with "K = R" and "K = C or H" as conjuncts.  It is the literal
+    tuple less two evaluations: E∂[f~_2], read only by conditions 2 and 6
+    under free homotopy and ∂[f~_2] != 0; and the im E solve of 0 = f~_1 - f~_2."""
     if (f1.K, f1.m, f1.nprime) != (f2.K, f2.m, f2.nprime):
         raise ClassificationError("the two classes must share (K, m, n')")
     s = ProjectiveSlice.resolve(
@@ -265,14 +267,15 @@ def table_conditions(db: Database, f1: ProjectiveClass,
     lift1, lift2 = f1.lift.coords, f2.lift.coords
     b2 = s.boundary.hom._apply(lift2)
     b2_zero = not any(b2)
-    eb2_zero = not any(s.suspension.hom._apply(b2))
     real = s.K == "R"
     if real and s.antipodal is None:    # raises: only classify requires A
         db.require_hom_entry("antipodal_A", s.lift_key, s.lift_key)
     a2 = s.antipodal.hom._apply(lift2) if real else lift2   # A∘f~_2
     free_homotopic = lift1 == lift2 or lift1 == a2
-    diff_in_im_e = real and _image_contains(
-        s.suspension.hom, [a - b for a, b in zip(lift1, lift2)])
+    eb2_zero = (not free_homotopic or b2_zero     # True where it is unread
+                or not any(s.suspension.hom._apply(b2)))
+    diff_in_im_e = real and (lift1 == lift2 or _image_contains(
+        s.suspension.hom, [a - b for a, b in zip(lift1, lift2)]))
     return (
         free_homotopic and b2_zero,
         free_homotopic and eb2_zero and not b2_zero,

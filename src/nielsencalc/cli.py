@@ -7,15 +7,15 @@ generator labels.  Answers go to stdout; diagnostics and errors go to
 stderr.  Each answer or verdict becomes one document (_document):
 --output machine prints it as JSON with the database version, and the
 text form (_text) reads the document alone.  Exit codes: 0 success,
-2 usage error, 3 insufficient database data, 4 database validation
-failure or database data that contradicts the classification.
+1 output that could not be written, 2 usage error, 3 insufficient
+database data, 4 database validation failure or database data that
+contradicts the classification.
 
 console_main, the entry of the nielsencalc script and of python -m
 nielsencalc, ends the process with os._exit once main has returned and
-stdout and stderr are flushed, so a call skips interpreter teardown;
-a broken pipe ends it silently with exit 1.  main itself only returns
-its exit code.
-"""
+stdout and stderr are flushed, so a call skips interpreter teardown.
+A broken pipe ends it silently with exit 1, any other OSError with exit
+1 and one line on stderr.  main itself only returns its exit code."""
 
 from __future__ import annotations
 
@@ -400,6 +400,11 @@ def console_main() -> None:
                 stream.flush()
     except BrokenPipeError:     # the reader left; what is unwritten is lost
         os._exit(1)
+    except OSError as exc:      # e.g. a full disk: one line, no traceback
+        try:
+            os.write(2, f"error: {exc}\n".encode(errors="replace"))
+        finally:                # also when stderr cannot be written
+            os._exit(1)
     os._exit(code)
 
 

@@ -94,14 +94,18 @@ def _snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int,
     operation updates row[t:], a column operation only the rows with a
     nonzero column-t entry.  V is built as the list of its columns, so
     that a column operation updates one list.
+    floor, the last pivot that finished a step (1 before the first),
+    divides the active block: its step ended on a block divisible by it,
+    and row and column operations keep that.  So the search stops at the
+    first entry of size floor, and a pivot equal to it skips the scan.
     """
     a = [list(row) for row in matrix]
     u = _identity(nrows) if want_u else None
     vt = _identity(ncols) if want_v else None
-    t = 0
+    t, floor = 0, 1
     while t < nrows and t < ncols:
         # pivot: minimal absolute value, first in row-major order; no
-        # entry beats a unit, so the search stops at the first one
+        # entry is below floor, so the search stops at the first one of it
         best = 0
         for i in range(t, nrows):
             row = a[i]
@@ -109,9 +113,9 @@ def _snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int,
                 x = row[j]
                 if x and (abs(x) < best or not best):
                     best, pi, pj = abs(x), i, j
-                    if best == 1:
+                    if best == floor:
                         break
-            if best == 1:
+            if best == floor:
                 break
         if not best:
             break
@@ -157,12 +161,12 @@ def _snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int,
         if len(active) > 1 or any(pivot_row[t + 1:]):
             continue
         # divisibility: fold an offending row into row t and re-reduce;
-        # every entry is a multiple of a unit pivot
-        bad = None if best == 1 else next(
+        # every entry is a multiple of a pivot equal to floor
+        bad = None if best == floor else next(
             (i for i in range(t + 1, nrows) if any(x % p for x in a[i][t + 1:])),
             None)
         if bad is None:
-            t += 1
+            t, floor = t + 1, best
             continue
         pivot_row[t:] = [x + y for x, y in zip(pivot_row[t:], a[bad][t:])]
         if want_u:

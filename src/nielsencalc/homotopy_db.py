@@ -626,14 +626,20 @@ def loads(text: str, origin: str = "<string>") -> Database:
     return db
 
 
+_MAX_DB_CHARS = 16 << 20     # 16 Mi; the shipped file has about 6 000
+
+
 def read_db_text(path) -> str:
-    """A database file's text; an unreadable or non-UTF-8 file is an io violation."""
+    """A database file's text; unreadable, non-UTF-8 or overlong is an io violation."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+            text = fh.read(_MAX_DB_CHARS + 1)   # an endless file stops here
+        if len(text) > _MAX_DB_CHARS:
+            raise ValueError(f"longer than {_MAX_DB_CHARS} characters")
+    except (OSError, ValueError) as exc:    # UnicodeDecodeError is a ValueError
         raise DatabaseError(
             [Violation("io", str(path), str(exc))], str(path)) from exc
+    return text
 
 
 def load(path) -> Database:

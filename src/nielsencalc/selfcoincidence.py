@@ -80,8 +80,10 @@ def self_verdict(db: Database, K: str, m: int, nprime: int,
     vanishes iff E(boundary(lift)) = 0."""
     s = ProjectiveSlice.resolve(db, K, m, nprime, (lift,))
     b = s.boundary.hom._apply(lift.coords)
-    return LoosenessVerdict(K, m, nprime, small_deformation=not any(b),
-                            omega_sharp_zero=not any(s.suspension.hom._apply(b)))
+    small = not any(b)
+    eb_zero = small or not any(s.suspension.hom._apply(b))     # E(0) = 0
+    return LoosenessVerdict(K, m, nprime, small_deformation=small,
+                            omega_sharp_zero=eb_zero)
 
 
 def criteria_equivalence_iii(j_star: Homomorphism,

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from nielsencalc import classifier
 from nielsencalc.classifier import (
     INF,
     ClassificationError,
     CoincidenceAnswer,
     InconsistentDataError,
     ProjectiveClass,
+    ProjectiveSlice,
     SpaceFormQuery,
     classify_projective,
     classify_space_form,
@@ -15,8 +17,9 @@ from nielsencalc.classifier import (
     reidemeister_count,
     table_conditions,
 )
-from nielsencalc.fgab import FgAbGroup
+from nielsencalc.fgab import FgAbGroup, Homomorphism
 from nielsencalc.homotopy_db import InsufficientDataError, SpaceId, load_default
+from nielsencalc.selfcoincidence import self_verdict
 
 S = SpaceId.sphere
 
@@ -194,6 +197,43 @@ def test_exactly_one_condition_fires(db):
         for k1, k2 in _sample_pairs(rng, 400):
             conditions = table_conditions(db, make(db, k1), make(db, k2))
             assert sum(conditions) == 1, (make.__name__, k1, k2, conditions)
+
+
+def test_e_and_the_im_e_solve_run_only_where_an_answer_reads_them(
+        monkeypatch):
+    """E∂[f~] is applied only for a free-homotopic pair (or a self-pair)
+    with ∂[f~] != 0, and im E is solved only for unequal lifts."""
+    db = load_default()
+    applied, solves = [], []
+    real_apply, real_contains = Homomorphism._apply, classifier._image_contains
+
+    def apply(h, coords):
+        applied.append(h)
+        return real_apply(h, coords)
+
+    def contains(h, coords):
+        solves.append(h)
+        return real_contains(h, coords)
+
+    monkeypatch.setattr(Homomorphism, "_apply", apply)
+    monkeypatch.setattr(classifier, "_image_contains", contains)
+
+    def work(m, query):     # (E applications, im E solves) of one query
+        e = ProjectiveSlice.resolve(db, "R", m, 6, ()).suspension.hom
+        applied.clear()
+        solves.clear()
+        answer = query()
+        return answer, sum(h is e for h in applied), len(solves)
+
+    answer, es, solved = work(11, lambda: classify_projective(
+        db, rp11(db, 1), rp11(db, 1)))
+    assert (answer.case_id, es, solved) == (2, 1, 0)
+    answer, es, solved = work(6, lambda: classify_projective(
+        db, rp6(db, 3), rp6(db, 1)))
+    assert (answer.case_id, es, solved) == (4, 0, 1)
+    verdict, es, solved = work(11, lambda: self_verdict(
+        db, "R", 11, 6, db.get_group(S(6), 11).element((2,))))
+    assert (verdict.small_deformation, es, solved) == (True, 0, 0)
 
 
 def test_symmetry_of_triples(db):

@@ -1,4 +1,5 @@
 import ast
+import errno
 import json
 import os
 import subprocess
@@ -271,6 +272,27 @@ def test_missing_db_file_is_an_io_violation(tmp_path, capsys, command):
                    f"'{path}'\ndatabase rejected: {path}\n")
 
 
+def test_a_db_file_over_the_size_cap_is_an_io_violation(tmp_path, capsys):
+    cap = homotopy_db._MAX_DB_CHARS
+    at_cap, over = tmp_path / "at_cap.nielsendb", tmp_path / "over.nielsendb"
+    for path, size in ((at_cap, cap), (over, cap + 1)):
+        path.touch()
+        os.truncate(path, size)     # sparse: NUL characters, no disk used
+    assert len(homotopy_db.read_db_text(at_cap)) == cap
+    code, out, err = run(capsys, "db-show", "--db", str(over))
+    assert (code, out) == (4, "")
+    assert err == (f"[io] {over}: longer than {cap} characters\n"
+                   f"database rejected: {over}\n")
+
+
+def test_a_db_path_that_is_a_directory_is_an_io_violation(tmp_path):
+    proc = _child("-m", "nielsencalc", "db-show", "--db", str(tmp_path))
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith(f"[io] {tmp_path}: ")
+    assert proc.stderr.endswith(f"\ndatabase rejected: {tmp_path}\n")
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -492,6 +514,20 @@ def test_a_reader_that_left_ends_the_call_silently_with_exit_1(unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_an_unwritable_stdout_ends_the_call_with_exit_1_and_one_line(
+        unbuffered):
+    with open("/dev/full", "wb") as full:
+        proc = _child("-m", "nielsencalc", "db-show", unbuffered=unbuffered,
+                      stdout=full)
+    enospc = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    assert (proc.returncode, proc.stderr) == (1, f"error: {enospc}\n")
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_a_call_with_stdout_closed_at_start_exits_0(monkeypatch):

@@ -39,11 +39,9 @@ def _unimodular(rng, n, steps):
     return m
 
 
-def _pdq(rng, n):
-    """P*D*Q with P, Q unimodular and D a chain of ones, torsion, zeros."""
-    p = rng.choice((2, 3))
-    diag = [1] * (n // 2) + [p] * (n // 4)
-    diag += [0] * (n - len(diag))
+def _pdq(rng, diag):
+    """P*D*Q with P, Q unimodular and D the diagonal matrix of diag."""
+    n = len(diag)
     d = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
     return mat_mul(mat_mul(_unimodular(rng, n, 3 * n), d),
                    _unimodular(rng, n, 3 * n))
@@ -78,11 +76,16 @@ def test_snf_matches_reference_dense(n, count):
 @pytest.mark.parametrize("n", [8, 16, 24, 32])
 def test_snf_matches_reference_structured(n):
     rng = random.Random(f"snf-pdq-{n}")
-    m = _pdq(rng, n)
-    _assert_matches_reference(m, n, n)
-    # augmented like a homomorphism into its cokernel: relations appended
-    _assert_matches_reference([row + [2 * int(i == j) for j in range(n)]
-                               for i, row in enumerate(m)], n, 2 * n)
+    p, ones = rng.choice((2, 3)), [1] * (n // 2)
+    # chains of ones, torsion, zeros; the second, a run of equal torsion
+    # then p*k, is the shape of a user_db boundary_K, where _snf's search
+    # stops at the last pivot most often
+    for torsion in ([p] * (n // 4), [p] * (n // 4 - 1) + [p * 5]):
+        m = _pdq(rng, (ones + torsion + [0] * n)[:n])
+        _assert_matches_reference(m, n, n)
+        # augmented like a homomorphism into its cokernel: relations appended
+        _assert_matches_reference([row + [2 * int(i == j) for j in range(n)]
+                                   for i, row in enumerate(m)], n, 2 * n)
 
 
 def test_invariant_factors_match_sympy():
