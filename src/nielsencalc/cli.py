@@ -9,13 +9,13 @@ stderr.  Each answer or verdict becomes one document (_document):
 text form (_text) reads the document alone.  Exit codes: 0 success,
 1 output that could not be written, 2 usage error, 3 insufficient
 database data, 4 database validation failure or database data that
-contradicts the classification.
+contradicts the classification, 130 interrupted.
 
 console_main, the entry of the nielsencalc script and of python -m
 nielsencalc, ends the process with os._exit once main has returned and
 stdout and stderr are flushed, so a call skips interpreter teardown.
-A broken pipe ends it silently with exit 1, any other OSError with exit
-1 and one line on stderr.  main itself only returns its exit code."""
+Ctrl-C ends it silently with exit 130, a broken pipe with exit 1, other
+OSErrors with exit 1 and a line on stderr.  main only returns the code."""
 
 from __future__ import annotations
 
@@ -139,10 +139,19 @@ def _text(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 # helpers
 
+def _int(text: str) -> int:     # as in a database: an optional '-', ASCII digits
+    if not homotopy_db._digits(text.strip().removeprefix("-")):
+        raise ValueError(text)
+    return int(text)
+
+
+_int.__name__ = "int"       # the name argparse's message gives the type
+
+
 def _parse_coords(text: str, what: str) -> tuple[int, ...]:
     try:
         parts = text.split(",") if text.strip() != "" else []
-        return tuple(int(p.strip()) for p in parts)
+        return tuple(map(_int, parts))
     except ValueError as exc:
         raise UsageError(f"{what}: expected comma-separated integers, "
                          f"got {homotopy_db._cut(text)!r}") from exc
@@ -273,7 +282,7 @@ _COMMON = (
     ("--output", {"choices": ("text", "machine"), "default": "text",
                   "help": "answer format"}))
 _K = ("--K", {"required": True, "choices": ("R", "C", "H")})
-_INT = {"type": int, "required": True}
+_INT = {"type": _int, "required": True}
 _M, _NPRIME = ("--m", _INT), ("--nprime", _INT)
 _COORDS = {"required": True, "metavar": "COORDS"}
 COMMANDS = {
@@ -398,6 +407,8 @@ def console_main() -> None:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:      # None when the fd was closed at start
                 stream.flush()
+    except KeyboardInterrupt:   # Ctrl-C: 128 + SIGINT, with no traceback
+        os._exit(130)
     except BrokenPipeError:     # the reader left; what is unwritten is lost
         os._exit(1)
     except OSError as exc:      # e.g. a full disk: one line, no traceback

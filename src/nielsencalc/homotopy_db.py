@@ -24,12 +24,11 @@ qualified form name:S(5),10->S(6),11.
 
 The parser only reads lines; the Database constructor resolves each hom
 line against the group lines, qualifies each bare assertion reference
-that names a single entry, and freezes its inputs, so a Database cannot
-be changed once built.  Lookups never guess: a missing entry is reported
-as None, and the require_* helpers raise InsufficientDataError naming
-exactly what is missing.  A database is validated wholesale on load;
-every recorded exactness, vanishing and surjectivity assertion is
-checked with the exact-arithmetic layer.
+that names a single entry, checks every invariant and recorded assertion
+with the exact-arithmetic layer, and freezes its inputs.  It raises
+DatabaseError on any violation, so every Database is valid and immutable.
+Lookups never guess: a missing entry is reported as None, and the
+require_* helpers raise InsufficientDataError naming what is missing.
 """
 
 from __future__ import annotations
@@ -167,8 +166,8 @@ class GroupEntry(Frozen, defaults={"line": 0}, uncompared=("line",)):
 
 class HomEntry(Frozen, defaults={"line": 0, "hom": None},
                uncompared=("line", "hom")):
-    """A hom line; only a Database sets hom, its map (None if the entry
-    dangles or is ill defined), and then matrix is the map's canonical one."""
+    """A hom line; only a Database sets hom, its map, and then matrix is
+    the map's canonical one."""
 
     __slots__ = ("name", "source", "target", "matrix", "provenance", "line",
                  "hom")
@@ -226,14 +225,15 @@ class Violation(Frozen, defaults={"line": 0}, uncompared=("line",)):
 
 
 class Database(Frozen):
-    """Group, homomorphism and assertion entries; immutable once built.
+    """Group, homomorphism and assertion entries; valid and immutable.
 
-    Each hom entry gets the map resolved from its own matrix, whatever hom
-    it carried, so queries apply the maps to bare coordinates.  groups is
-    a read-only mapping over the constructor's own copy; homs and
-    assertions are tuples.  _hom_index keys the hom entries, _spheres maps
-    n to the S(n) of the group keys and _slices memoises each resolved
-    slice (classifier.ProjectiveSlice.resolve); == and serialize ignore them.
+    The constructor raises DatabaseError on any violation.  Each hom entry
+    gets the map resolved from its own matrix, whatever hom it carried, so
+    queries apply the maps to bare coordinates.  groups is a read-only
+    mapping over the constructor's own copy; homs and assertions are
+    tuples.  _hom_index keys the hom entries, _spheres maps n to the S(n)
+    of the group keys and _slices memoises each resolved slice
+    (classifier.ProjectiveSlice.resolve); == and serialize ignore them.
     """
 
     __slots__ = ("version", "groups", "homs", "assertions", "_hom_index",
@@ -241,21 +241,44 @@ class Database(Frozen):
 
     def __init__(self, version: str, groups, homs, assertions):
         groups = MappingProxyType(dict(groups))
-        entries = []
+        violations = [Violation("group_key", f"pi_{e.m}({e.space})",
+                                "filed under a key other than its own", e.line)
+                      for key, e in groups.items() if key != e.key]
+        index = {}
         for e in homs:
-            hom, _ = _resolve(groups, e)
-            entries.append(HomEntry(*e.key, e.matrix if hom is None else hom.matrix,
-                                    e.provenance, e.line, hom))
-        by_name = _by_name(entries)
+            hom, problem = _resolve(groups, e)
+            if e.key in index:      # the parser too keeps the first entry
+                problem = "duplicate", "second entry for the same homomorphism"
+            if problem is not None:
+                kind, message = problem
+                violations.append(Violation(kind, e.ref(), message, e.line))
+            index.setdefault(e.key, HomEntry(
+                *e.key, e.matrix if hom is None else hom.matrix, e.provenance,
+                e.line, hom))
+        by_name = {}
+        for entry in index.values():
+            by_name.setdefault(entry.name, []).append(entry)
         qualified = []
         for assertion in assertions:
-            refs = []
+            refs, found = [], []
             for ref in assertion.refs:
-                entry, _ = _lookup(by_name, ref, assertion.line)
+                entry, problem = _lookup(by_name, ref, assertion.line)
+                if problem is not None:
+                    violations.append(problem)
                 refs.append(ref if entry is None else HomRef(*entry.key))
+                found.append(entry)
             qualified.append(Assertion(assertion.kind, tuple(refs), assertion.line))
-        super().__init__(version, groups, tuple(entries), tuple(qualified))
-        setfield(self, "_hom_index", {e.key: e for e in entries})
+            # an unresolved entry was already reported against the entry itself
+            if all(e is not None and e.hom is not None for e in found):
+                message = _refutation(assertion.kind, found)
+                if message is not None:
+                    violations.append(Violation(
+                        "assert_" + assertion.kind, " , ".join(e.ref() for e in found),
+                        message, assertion.line))
+        if violations:
+            raise DatabaseError(violations)
+        super().__init__(version, groups, tuple(index.values()), tuple(qualified))
+        setfield(self, "_hom_index", index)
         setfield(self, "_spheres", {space.index: space for space, _ in groups
                                     if space.kind == "S"})
         setfield(self, "_slices", {})
@@ -281,7 +304,7 @@ class Database(Frozen):
     def require_hom_entry(self, name: str, source: tuple[SpaceId, int],
                           target: tuple[SpaceId, int]) -> HomEntry:
         entry = self._hom_index.get((name, source, target))
-        if entry is None or entry.hom is None:
+        if entry is None:
             s, sm = source
             t, tm = target
             raise InsufficientDataError(
@@ -421,7 +444,8 @@ def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
-def _parse_text(text: str, origin: str):
+def check(text: str, origin: str = "<string>"):
+    """Parse + validate without raising; returns (db_or_None, violations)."""
     version: Optional[str] = None
     groups: dict[tuple[SpaceId, int], GroupEntry] = {}
     homs: dict[tuple, HomEntry] = {}
@@ -448,7 +472,10 @@ def _parse_text(text: str, origin: str):
     if version is None:
         violations.append(Violation("parse", origin, "empty database file", 0))
         return None, violations
-    return Database(version, groups, homs.values(), assertions), violations
+    try:
+        return Database(version, groups, homs.values(), assertions), violations
+    except DatabaseError as exc:
+        return None, violations + exc.violations
 
 
 def _parse_line(groups: dict, homs: dict, assertions: list, spaces: dict,
@@ -521,24 +548,27 @@ def _parse_line(groups: dict, homs: dict, assertions: list, spaces: dict,
 # validation
 
 def _resolve(groups, entry: HomEntry):
-    """(map, None) for a well-defined hom entry, else (None, (kind, message))."""
+    """(map or None, None or (kind, message)) for a hom entry."""
     missing = [f"pi_{m}({space})" for space, m in (entry.source, entry.target)
                if (space, m) not in groups]
     if missing:
         return None, ("dangling_ref",
                       "references missing group entries: " + ", ".join(missing))
     try:
-        return Homomorphism(groups[entry.source].group, groups[entry.target].group,
-                            entry.matrix), None
+        hom = Homomorphism(groups[entry.source].group, groups[entry.target].group,
+                           entry.matrix)
     except ValueError as exc:
         return None, ("ill_defined", str(exc))
-
-
-def _by_name(entries) -> dict[str, list[HomEntry]]:
-    index = {}
-    for entry in entries:
-        index.setdefault(entry.name, []).append(entry)
-    return index
+    if entry.name != "antipodal_A":
+        return hom, None
+    if entry.source != entry.target:
+        return hom, ("not_automorphism",
+                     "antipodal action must be an endomorphism of one group")
+    # a surjective endomorphism of a f.g. abelian group is injective
+    # (Hopfian), so surjectivity decides automorphy
+    if not is_surjective(hom):
+        return hom, ("not_automorphism", "antipodal action must be an automorphism")
+    return hom, None
 
 
 def _lookup(by_name, ref: HomRef, line: int):
@@ -556,63 +586,27 @@ def _lookup(by_name, ref: HomRef, line: int):
                            "name:SRC,m->TGT,m", line)
 
 
-def validate(db: Database) -> list[Violation]:
-    """Check every invariant and recorded assertion; returns violations.
+def _refutation(kind: str, entries) -> Optional[str]:
+    """Why the maps of the entries an assertion names refute it, or None."""
+    if kind == "zero" and not entries[0].hom.is_zero_map():
+        return "asserted to vanish but is a nonzero map"
+    if kind == "surjective" and not is_surjective(entries[0].hom):
+        return "asserted to be surjective but is not"
+    if kind == "exact":
+        left, right = entries
+        if left.target != right.source:
+            return ("maps are not consecutive (left target differs from "
+                    "right source)")
+        if not exact_at(left.hom, right.hom):
+            return ("image of the left map differs from the kernel of the "
+                    "right map")
+    return None
 
-    Never raises and changes nothing: a clean database yields an empty
-    list.
-    """
-    violations: list[Violation] = []
-    for entry in db.homs:
-        if entry.hom is None:
-            kind, message = _resolve(db.groups, entry)[1]
-            violations.append(Violation(kind, entry.ref(), message, entry.line))
-        elif entry.name == "antipodal_A":
-            if entry.source != entry.target:
-                violations.append(Violation(
-                    "not_automorphism", entry.ref(),
-                    "antipodal action must be an endomorphism of one group",
-                    entry.line))
-            elif not is_surjective(entry.hom):
-                # a surjective endomorphism of a f.g. abelian group is
-                # injective (Hopfian), so surjectivity decides automorphy
-                violations.append(Violation(
-                    "not_automorphism", entry.ref(),
-                    "antipodal action must be an automorphism", entry.line))
-    by_name = _by_name(db.homs)
-    for assertion in db.assertions:
-        entries = []
-        for ref in assertion.refs:
-            entry, problem = _lookup(by_name, ref, assertion.line)
-            if problem is not None:
-                violations.append(problem)
-            entries.append(entry)
-        # an unresolved entry was already reported against the entry itself
-        if any(e is None or e.hom is None for e in entries):
-            continue
-        if assertion.kind == "zero":
-            if not entries[0].hom.is_zero_map():
-                violations.append(Violation(
-                    "assert_zero", entries[0].ref(),
-                    "asserted to vanish but is a nonzero map", assertion.line))
-        elif assertion.kind == "surjective":
-            if not is_surjective(entries[0].hom):
-                violations.append(Violation(
-                    "assert_surjective", entries[0].ref(),
-                    "asserted to be surjective but is not", assertion.line))
-        elif assertion.kind == "exact":
-            left, right = entries
-            if left.target != right.source:
-                violations.append(Violation(
-                    "assert_exact", f"{left.ref()} , {right.ref()}",
-                    "maps are not consecutive (left target differs from "
-                    "right source)", assertion.line))
-            elif not exact_at(left.hom, right.hom):
-                violations.append(Violation(
-                    "assert_exact", f"{left.ref()} , {right.ref()}",
-                    "image of the left map differs from the kernel of the "
-                    "right map", assertion.line))
-    return violations
+
+def validate(db: Database) -> list[Violation]:
+    """The violations of a Database: always none, since its constructor
+    raises DatabaseError on any."""
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -645,14 +639,6 @@ def read_db_text(path) -> str:
 def load(path) -> Database:
     """Load a database file; raise DatabaseError on any violation."""
     return loads(read_db_text(path), str(path))
-
-
-def check(text: str, origin: str = "<string>"):
-    """Parse + validate without raising; returns (db_or_None, violations)."""
-    db, violations = _parse_text(text, origin)
-    if db is not None:
-        violations = violations + validate(db)
-    return db, violations
 
 
 def default_db_text() -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import Optional, Sequence
 
 from nielsencalc.classifier import (
@@ -317,7 +317,10 @@ def reference_table_conditions(db: Database, f1: ProjectiveClass,
 # accept the same text and give the same entries and violations.  Moved
 # here verbatim; only SpaceId.parse, HomRef.parse and validate became the
 # functions _space_parse, _homref_parse and _validate, and a number became
-# _NUM: no longer than int() converts (0 digits: no limit).  Comments are
+# _NUM: no longer than int() converts (0 digits: no limit).  _validate
+# checks plain resolved entries, and the program's Database, which
+# validates by its own code, is built only from entries _validate found
+# valid.  Comments are
 # stripped by reference_strip_comment, the earlier definition of
 # homotopy_db._strip_comment.  A token that a message quotes goes through
 # _shown, the README's rule for long tokens.
@@ -432,13 +435,14 @@ def _parse_text(text: str, origin: str):
     if version is None:
         violations.append(Violation("parse", origin, "empty database file", 0))
         return None, violations
-    return _build(version, groups, homs, assertions), violations
+    return _resolved(version, groups, homs, assertions), violations
 
 
-def _build(version, groups, homs, assertions) -> Database:
+def _resolved(version, groups, homs, assertions) -> SimpleNamespace:
     """Resolve every hom entry against the groups and qualify every bare
     assertion reference that names a single entry, so that
-    serialize(load(f)) parses back to an equal database."""
+    serialize(load(f)) parses back to an equal database: plain entries,
+    which no code of the program has checked."""
     entries = []
     for entry in homs.values():
         hom, _ = _resolve(groups, entry)
@@ -451,13 +455,18 @@ def _build(version, groups, homs, assertions) -> Database:
             entry, _ = _lookup(entries, ref, assertion.line)
             refs.append(ref if entry is None else HomRef(*entry.key))
         qualified.append(Assertion(assertion.kind, tuple(refs), assertion.line))
-    db = Database(version, MappingProxyType(groups), tuple(entries),
-                  tuple(qualified))
+    return SimpleNamespace(version=version, groups=MappingProxyType(groups),
+                           homs=tuple(entries), assertions=tuple(qualified))
+
+
+def _build(parsed: SimpleNamespace) -> Database:
+    """The program's Database of entries that _validate found valid."""
+    db = Database(parsed.version, parsed.groups, parsed.homs, parsed.assertions)
     # Database resolves and qualifies again with the program's own rules;
     # it must leave the reference's answer as it is
-    assert [(e.key, e.matrix, e.hom is None) for e in db.homs] == [
-        (e.key, e.matrix, e.hom is None) for e in entries]
-    assert db.assertions == tuple(qualified)
+    assert [(e.key, e.matrix) for e in db.homs] == [
+        (e.key, e.matrix) for e in parsed.homs]
+    assert db.assertions == parsed.assertions
     return db
 
 
@@ -556,7 +565,7 @@ def _lookup(entries, ref: HomRef, line: int):
                            "name:SRC,m->TGT,m", line)
 
 
-def _validate(db: Database) -> list[Violation]:
+def _validate(db: SimpleNamespace) -> list[Violation]:
     """Check every invariant and recorded assertion; returns violations.
 
     Never raises and changes nothing: a clean database yields an empty
@@ -614,8 +623,12 @@ def _validate(db: Database) -> list[Violation]:
 
 
 def reference_check(text: str, origin: str = "<string>"):
-    """homotopy_db.check as the regular-expression parser gave it."""
-    db, violations = _parse_text(text, origin)
-    if db is not None:
-        violations = violations + _validate(db)
-    return db, violations
+    """homotopy_db.check as the regular-expression parser gave it, with no
+    database where validation finds a violation."""
+    parsed, violations = _parse_text(text, origin)
+    if parsed is None:
+        return None, violations
+    problems = _validate(parsed)
+    if problems:
+        return None, violations + problems
+    return _build(parsed), violations

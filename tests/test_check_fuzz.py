@@ -146,8 +146,7 @@ def _outcome(result):
     return (db.version,
             [(e.key, e.group, e.labels, e.provenance, e.line)
              for e in db.groups.values()],
-            [(e.key, e.matrix, e.provenance, e.line, e.hom is None)
-             for e in db.homs],
+            [(e.key, e.matrix, e.provenance, e.line) for e in db.homs],
             [(a.kind, a.refs, a.line) for a in db.assertions]), found
 
 
@@ -196,15 +195,31 @@ def test_grammar_agrees_with_the_regular_expressions(text):
 def test_references_are_qualified_as_the_regular_expressions_qualify_them():
     # a bare reference is qualified only when it names one entry: the
     # fuzzed texts above seldom hold two entries of one name
+    second = 'hom suspension_E S(6),6 -> S(5),5 matrix [[0]] src "s"'
     text = "\n".join(["nielsendb v1"] + VALID_LINES + [
-        'hom suspension_E S(6),6 -> S(5),5 matrix [[0]] src "s"',
+        second,
         "assert_zero fiber_incl",
         "assert_zero boundary_K:S(5),5->S(6),6",
     ]) + "\n"
     outcome = _outcome(hdb.check(text))
     assert outcome == _outcome(reference_check(text))
-    (_, _, _, assertions), found = outcome
-    assert [refs[0].source is None for _, refs, _ in assertions] == [
-        False, False, True, False, False]
+    db, found = outcome
+    assert db is None
     assert [kind for kind, *_ in found] == [
         "ambiguous_ref", "assert_zero", "unknown_hom"]
+    # a valid database: each bare reference names one entry, and both
+    # sides qualify it
+    assert VALID_LINES[-1] == "assert_zero suspension_E"
+    text = "\n".join(["nielsendb v1"] + VALID_LINES[:-1] + [
+        second,
+        "assert_zero suspension_E:S(5),5->S(6),6",
+        "assert_zero suspension_E:S(6),6->S(5),5",
+    ]) + "\n"
+    outcome = _outcome(hdb.check(text))
+    assert outcome == _outcome(reference_check(text))
+    (_, _, _, assertions), found = outcome
+    assert found == []
+    assert [str(ref) for _, refs, _ in assertions for ref in refs] == [
+        "boundary_K:S(6),6->S(5),5", "fiber_incl:S(5),5->V(R,6),5",
+        "fiber_incl:S(5),5->V(R,6),5", "suspension_E:S(5),5->S(6),6",
+        "suspension_E:S(6),6->S(5),5"]

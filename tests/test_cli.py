@@ -315,6 +315,25 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--f1", "1_0"), ("--f1", "+1"), ("--f2", "\u0661"), ("--f2", "1,_1"),
+    ("--m", "1_1"), ("--m", "+11"), ("--nprime", "\u0666"), ("--m", "x")])
+def test_an_integer_is_read_by_the_database_rule(flag, value):
+    # int() also takes a sign, '_' and other scripts' digits; an integer
+    # is an optional '-' and ASCII digits, as in a database file
+    argv = ["classify", "--K", "R", "--m", "11", "--nprime", "6",
+            "--f1", "1", "--f2", "0"]
+    argv[argv.index(flag) + 1] = value
+    code, out, err = _outcome(argv)
+    assert (code, out) == (2, "")
+    if flag in ("--f1", "--f2"):
+        assert err.endswith(f"usage error: {flag[2:]}: expected "
+                            f"comma-separated integers, got {value!r}\n")
+    else:
+        assert err.endswith(f"error: argument {flag}: invalid int value: "
+                            f"{value!r}\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     (("classify", "--K", "R", "--m", "0", "--nprime", "6", "--f1", "1",
       "--f2", "1"), "the classification needs m >= 2 and n' >= 2"),
@@ -481,6 +500,32 @@ def test_console_main_flushes_both_streams_then_exits_with_the_code(
     with pytest.raises(_Exited):
         cli.console_main()
     assert seen == [(3, (b"answer\n", b"note\n"))]
+
+
+def test_ctrl_c_ends_the_call_with_exit_130_and_writes_nothing(monkeypatch):
+    raw = {name: BytesIO() for name in ("stdout", "stderr")}
+    for name in raw:
+        monkeypatch.setattr(sys, name, TextIOWrapper(BufferedWriter(raw[name])))
+
+    def interrupted():
+        print("half an answer")     # still in its buffer: it is dropped
+        raise KeyboardInterrupt
+
+    seen = []
+
+    def fake_exit(code):
+        seen.append((code, raw["stdout"].getvalue(), raw["stderr"].getvalue()))
+        raise _Exited
+
+    monkeypatch.setattr(cli, "main", interrupted)
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    try:
+        cli.console_main()
+    except _Exited:
+        pass
+    except KeyboardInterrupt:   # escaped: fail this test, not the whole run
+        pytest.fail("KeyboardInterrupt escaped console_main")
+    assert seen == [(130, b"", b"")]
 
 
 _NOTHING_LEFT_FOR_EXIT = """
@@ -718,7 +763,8 @@ def test_option_given_as_double_dash_is_a_usage_error(option):
 
 _GOOD_INTS = ("0", "1", "2", "5", "6", "11")
 _COORDS = ("1", "0", "2", "1,2", "x")
-_BAD = ("", "X", " 7 ", "+3", "\u0665", "-1", "-", "--", "--x", "-h", "a=b")
+_BAD = ("", "X", " 7 ", "+3", "\u0665", "-1", "-", "--", "--x", "-h", "a=b",
+        "1_0", "+1", "\u0661")
 _JUNK = ("-h", "--help", "--", "junk", "--nprim", "--f", "-1")
 
 
@@ -732,7 +778,7 @@ def test_strict_parser_agrees_with_argparse(tmp_path, monkeypatch):
     def good(spec):
         if "choices" in spec:
             return spec["choices"]
-        return _GOOD_INTS if spec.get("type") is int else _COORDS
+        return _GOOD_INTS if spec.get("type") is cli._int else _COORDS
 
     @st.composite
     def argvs(draw):

@@ -25,6 +25,7 @@ from nielsencalc.fgab import (
     GroupElement,
     _image_contains,
     in_image,
+    is_surjective,
 )
 from nielsencalc.homotopy_db import (
     FIELD_DIMS,
@@ -53,7 +54,8 @@ def db():
 
 def _slice_db(rng, K, m, nprime, lift, low, high):
     """A database holding one (K, m, n') slice over the given groups, with
-    random well-defined maps: nothing forces the seven cases apart."""
+    random well-defined maps, A drawn again until it is an automorphism as
+    the load requires: nothing forces the seven cases apart."""
     d = FIELD_DIMS[K]
     n = d * nprime
     keys = {"lift": (S(n + d - 1), m), "low": (S(n - 1), m - 1),
@@ -66,6 +68,8 @@ def _slice_db(rng, K, m, nprime, lift, low, high):
     for name, source, target in maps:
         source, target = keys[source], keys[target]
         hom = random_well_defined_hom(rng, groups[source], groups[target])
+        while name == "antipodal_A" and not is_surjective(hom):
+            hom = random_well_defined_hom(rng, groups[source], groups[target])
         homs.append(HomEntry(name, source, target, hom.matrix, "random"))
     entries = {key: GroupEntry(*key, group, ("g",) * group.dim, "random")
                for key, group in groups.items()}

@@ -1,14 +1,17 @@
 import random
 import re
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from nielsencalc import fgab, homotopy_db as hdb
 from nielsencalc.fgab import FgAbGroup, Homomorphism, exact_at, kernel
 from nielsencalc.homotopy_db import (
+    Assertion,
     Database,
     DatabaseError,
+    GroupEntry,
     HomEntry,
     HomRef,
     InsufficientDataError,
@@ -213,10 +216,100 @@ def test_serialize_refuses_a_label_count_other_than_the_dimension(db):
 
 
 def test_serialize_refuses_a_hom_name_that_loads_does_not_know(db):
-    hom = db.homs[0].replace(name="frobnicate")
+    # an entry that no assertion names, so that the renamed database is valid
+    named = {ref for assertion in db.assertions for ref in assertion.refs}
+    k = next(k for k, e in enumerate(db.homs) if HomRef(*e.key) not in named)
+    hom = db.homs[k].replace(name="frobnicate")
     with pytest.raises(ValueError, match=re.escape(hom.ref())
                        + ": cannot write the homomorphism name 'frobnicate'"):
-        serialize(db.replace(homs=(hom,) + db.homs[1:]))
+        serialize(db.replace(homs=db.homs[:k] + (hom,) + db.homs[k + 1:]))
+
+
+# ---------------------------------------------------------------------------
+# every Database is valid: each kind of violation is refused on every path
+
+SMALL = """nielsendb v1
+group S(6) 6 = 1 [] gens a src "x"
+group S(5) 5 = 1 [] gens b src "y"
+group V(R,6) 5 = 0 [2] gens c src "z"
+hom boundary_K S(6),6 -> S(5),5 matrix [[2]] src "w"
+hom fiber_incl S(5),5 -> V(R,6),5 matrix [[1]] src "v"
+hom suspension_E S(5),5 -> S(6),6 matrix [[0]] src "u"
+hom antipodal_A S(6),6 -> S(6),6 matrix [[-1]] src "t"
+assert_exact boundary_K fiber_incl
+assert_surjective fiber_incl
+assert_zero suspension_E
+"""
+
+
+def _changed(db, name, **changes):
+    return {"homs": tuple(e.replace(**changes) if e.name == name else e
+                          for e in db.homs)}
+
+
+def _asserting(db, kind, *names):
+    refs = tuple(HomRef(name) for name in names)
+    return {"assertions": db.assertions + (Assertion(kind, refs),)}
+
+
+_SECOND_E = HomEntry("suspension_E", (S(6), 6), (S(5), 5), ((0,),), "s")
+
+# (kind, words of its message) -> the fields that break SMALL that way
+INVALID = {
+    ("dangling_ref", "missing group entries: pi_9(S(9))"):
+        lambda db: _changed(db, "suspension_E", source=(S(9), 9)),
+    ("ill_defined", "matrix row has 2 entries"):
+        lambda db: _changed(db, "fiber_incl", matrix=((1, 0),)),
+    ("not_automorphism", "must be an endomorphism of one group"):
+        lambda db: _changed(db, "antipodal_A", target=(S(5), 5)),
+    ("not_automorphism", "must be an automorphism"):
+        lambda db: _changed(db, "antipodal_A", matrix=((2,),)),
+    ("unknown_hom", "references no homomorphism entry"):
+        lambda db: _asserting(db, "zero", "proj_pK"),
+    ("ambiguous_ref", "matches several entries"):
+        lambda db: {"homs": db.homs + (_SECOND_E,),
+                    **_asserting(db, "zero", "suspension_E")},
+    ("assert_zero", "asserted to vanish"):
+        lambda db: _asserting(db, "zero", "fiber_incl"),
+    ("assert_surjective", "asserted to be surjective"):
+        lambda db: _asserting(db, "surjective", "boundary_K"),
+    ("assert_exact", "maps are not consecutive"):
+        lambda db: _asserting(db, "exact", "fiber_incl", "boundary_K"),
+    ("assert_exact", "differs from the kernel"):
+        lambda db: _asserting(db, "exact", "boundary_K", "suspension_E"),
+    ("duplicate", "second entry for the same homomorphism"):
+        lambda db: {"homs": db.homs + (db.homs[0].replace(provenance="2nd",
+                                                          line=99),)},
+    ("group_key", "filed under a key other than its own"):
+        lambda db: {"groups": {**db.groups, (S(2), 2): GroupEntry(
+            S(3), 3, FgAbGroup(1, ()), ("g",), "x")}},
+}
+
+
+@pytest.mark.parametrize("kind, words", list(INVALID))
+def test_every_violation_kind_is_refused_on_every_path(kind, words):
+    db = loads(SMALL)
+    assert validate(db) == []
+    changes = INVALID[kind, words](db)
+    fields = {"version": db.version, "groups": db.groups, "homs": db.homs,
+              "assertions": db.assertions, **changes}
+    paths = {"Database": lambda: Database(**fields),
+             "replace": lambda: db.replace(**changes)}
+    if kind != "group_key":     # a text files each group under its own key
+        text = serialize(SimpleNamespace(**fields))
+        paths["loads"] = lambda: loads(text)
+    reported = {}
+    for path, attempt in paths.items():
+        with pytest.raises(DatabaseError) as raised:
+            attempt()
+        reported[path] = [v for v in raised.value.violations
+                          if v.kind == kind and words in v.message]
+        assert reported[path], (path, raised.value.violations)
+    # the same subjects on every path (== leaves out the line), and the
+    # duplicate at the second entry's line, as the parser reports it
+    assert len({tuple(found) for found in reported.values()}) == 1
+    if kind == "duplicate":
+        assert [v.line for v in reported["Database"]] == [99]
 
 
 # ---------------------------------------------------------------------------
