@@ -15,13 +15,11 @@ from .fgab import (
     Subgroup,
     compose,
     exact_at,
-    identity_hom,
     in_image,
     is_surjective,
     kernel,
     paired_injective,
     smith_normal_form,
-    zero_hom,
 )
 from .homotopy_db import (
     Database,

@@ -4,12 +4,14 @@ Subcommands: classify, self, sphere, spaceform, db-validate, db-show.
 Elements are entered as integer coordinate vectors relative to the
 database generators and echoed back (to the diagnostic stream) with the
 generator labels.  Answers go to stdout; diagnostics and errors go to
-stderr.  Each answer or verdict becomes one document (_document):
---output machine prints it as JSON with the database version, and the
-text form (_text) reads the document alone.  Exit codes: 0 success,
-1 output that could not be written, 2 usage error, 3 insufficient
-database data, 4 database validation failure or database data that
-contradicts the classification, 130 interrupted.
+stderr.  main loads the database and renders the answer that classify,
+self, sphere or spaceform returns; db-show prints its listing, and
+db-validate checks the text itself.  Each answer or verdict becomes one
+document (_document): --output machine prints it as JSON with the
+database version, and the text form (_text) reads the document alone.
+Exit codes: 0 success, 1 output that could not be written, 2 usage
+error, 3 insufficient database data, 4 database validation failure or
+database data that contradicts the classification, 130 interrupted.
 
 console_main, the entry of the nielsencalc script and of python -m
 nielsencalc, ends the process with os._exit once main has returned and
@@ -174,23 +176,10 @@ def _echo(db: Database, space: SpaceId, m: int, name: str, x: GroupElement):
           file=sys.stderr)
 
 
-def _db_text(args) -> tuple[str, str]:
-    """Text and origin of the database: --db, else $NIELSEN_DB, else shipped."""
-    path = args.db or os.environ.get("NIELSEN_DB")
-    if path:
-        return homotopy_db.read_db_text(path), str(path)
-    return homotopy_db.default_db_text(), "<default>"
-
-
-def _load_db(args) -> Database:
-    return homotopy_db.loads(*_db_text(args))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_classify(args) -> int:
-    db = _load_db(args)
+def _cmd_classify(db: Database, args) -> CoincidenceAnswer:
     classifier._check_slice_key(args.K, args.m, args.nprime)
     lift_sphere = SpaceId.lift_sphere(args.K, args.nprime)
     classes = []
@@ -206,44 +195,32 @@ def _cmd_classify(args) -> int:
             residue = _element(db, SpaceId.sphere(FIELD_DIMS[args.K] - 1),
                                args.m - 1, res_text, f"residue of {name}")
         classes.append(ProjectiveClass(args.K, args.m, args.nprime, lift, residue))
-    answer = classify_projective(db, classes[0], classes[1])
-    print(render(answer, args.output, db.version))
-    return 0
+    return classify_projective(db, classes[0], classes[1])
 
 
-def _cmd_self(args) -> int:
-    db = _load_db(args)
+def _cmd_self(db: Database, args) -> LoosenessVerdict:
     classifier._check_slice_key(args.K, args.m, args.nprime)
     lift_sphere = SpaceId.lift_sphere(args.K, args.nprime)
     lift = _element(db, lift_sphere, args.m, args.f, "f")
     _echo(db, lift_sphere, args.m, "f", lift)
-    verdict = self_verdict(db, args.K, args.m, args.nprime, lift)
-    print(render(verdict, args.output, db.version))
-    return 0
+    return self_verdict(db, args.K, args.m, args.nprime, lift)
 
 
-def _cmd_sphere(args) -> int:
-    db = _load_db(args)
+def _cmd_sphere(db: Database, args) -> CoincidenceAnswer:
     space, _ = classifier._sphere_key(db, args.m, args.n)
     c1 = _element(db, space, args.m, args.f1, "f1")
     c2 = _element(db, space, args.m, args.f2, "f2")
     _echo(db, space, args.m, "f1", c1)
     _echo(db, space, args.m, "f2", c2)
-    answer = classify_sphere_target(db, args.m, args.n, c1, c2)
-    print(render(answer, args.output, db.version))
-    return 0
+    return classify_sphere_target(db, args.m, args.n, c1, c2)
 
 
-def _cmd_spaceform(args) -> int:
-    db = _load_db(args)
+def _cmd_spaceform(db: Database, args) -> CoincidenceAnswer:
     homotopic = {"true": True, "false": False}[args.homotopic]
-    answer = classify_space_form(SpaceFormQuery(args.order, args.n, homotopic))
-    print(render(answer, args.output, db.version))
-    return 0
+    return classify_space_form(SpaceFormQuery(args.order, args.n, homotopic))
 
 
-def _cmd_db_validate(args) -> int:
-    text, origin = _db_text(args)
+def _cmd_db_validate(text: str, origin: str) -> int:
     db, violations = homotopy_db.check(text, origin)
     if violations:
         for v in violations:
@@ -256,8 +233,7 @@ def _cmd_db_validate(args) -> int:
     return 0
 
 
-def _cmd_db_show(args) -> int:
-    db = _load_db(args)
+def _cmd_db_show(db: Database, args) -> None:
     print(f"nielsendb {db.version}")
     print(f"{len(db.groups)} groups, {len(db.homs)} homomorphisms, "
           f"{len(db.assertions)} assertions")
@@ -268,7 +244,6 @@ def _cmd_db_show(args) -> int:
         print(f"  hom {entry}")
     for assertion in sorted(db.assertions, key=str):
         print(f"  {assertion}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +354,18 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        path = args.db or os.environ.get("NIELSEN_DB")  # else the shipped one
+        if path:
+            text, origin = homotopy_db.read_db_text(path), str(path)
+        else:
+            text, origin = homotopy_db.default_db_text(), "<default>"
+        if args.func is _cmd_db_validate:
+            return _cmd_db_validate(text, origin)
+        db = homotopy_db.loads(text, origin)
+        answer = args.func(db, args)
+        if answer is not None:      # None from db-show, which printed itself
+            print(render(answer, args.output, db.version))
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -48,8 +48,6 @@ __all__ = [
     "is_surjective",
     "paired_injective",
     "exact_at",
-    "zero_hom",
-    "identity_hom",
 ]
 
 
@@ -280,14 +278,6 @@ class FgAbGroup(Frozen):
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.dim)
 
-    def generator(self, i: int) -> "GroupElement":
-        if not 0 <= i < self.dim:
-            raise IndexError(f"generator index {i} out of range for {self}")
-        return GroupElement(self, tuple(1 if j == i else 0 for j in range(self.dim)))
-
-    def generators(self) -> list["GroupElement"]:
-        return [self.generator(i) for i in range(self.dim)]
-
     def elements(self) -> Iterator["GroupElement"]:
         """All elements of a finite group, in lexicographic coordinate order."""
         if self.free_rank:
@@ -435,15 +425,6 @@ class Homomorphism(Frozen):
 
     def __repr__(self) -> str:
         return f"Homomorphism({self.source} -> {self.target}, {self.matrix!r})"
-
-
-def zero_hom(source: FgAbGroup, target: FgAbGroup) -> Homomorphism:
-    return Homomorphism(source, target,
-                        [[0] * source.dim for _ in range(target.dim)])
-
-
-def identity_hom(group: FgAbGroup) -> Homomorphism:
-    return Homomorphism(group, group, _identity(group.dim))
 
 
 def compose(g: Homomorphism, h: Homomorphism) -> Homomorphism:

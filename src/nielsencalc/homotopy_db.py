@@ -69,6 +69,8 @@ HOM_NAMES = frozenset({
 
 # real dimension d of the coefficient field K
 FIELD_DIMS = {"R": 1, "C": 2, "H": 4}
+# the number of hom references of each assertion kind
+_ASSERTION_REFS = {"exact": 2, "zero": 1, "surjective": 1}
 
 
 def _cut(token: str) -> str:
@@ -122,14 +124,6 @@ class SpaceId(Frozen):
     @classmethod
     def sphere(cls, n: int) -> "SpaceId":
         return cls("S", None, n)
-
-    @classmethod
-    def stiefel(cls, K: str, nprime: int) -> "SpaceId":
-        return cls("V", K, nprime)
-
-    @classmethod
-    def projective(cls, K: str, nprime: int) -> "SpaceId":
-        return cls("P", K, nprime)
 
     @classmethod
     def lift_sphere(cls, K: str, nprime: int) -> "SpaceId":
@@ -244,6 +238,9 @@ class Database(Frozen):
         violations = [Violation("group_key", f"pi_{e.m}({e.space})",
                                 "filed under a key other than its own", e.line)
                       for key, e in groups.items() if key != e.key]
+        if version != "v1":     # the one version a text can hold
+            violations.append(Violation("version", _cut(str(version)),
+                                        "unsupported version (expected 'v1')"))
         index = {}
         for e in homs:
             hom, problem = _resolve(groups, e)
@@ -260,6 +257,13 @@ class Database(Frozen):
             by_name.setdefault(entry.name, []).append(entry)
         qualified = []
         for assertion in assertions:
+            kind, count = assertion.kind, len(assertion.refs)
+            if count != _ASSERTION_REFS.get(kind):    # no text holds such a line
+                violations.append(Violation(
+                    "assertion_shape", _cut(str(assertion)),
+                    f"{_cut(str(kind))!r} with {count} hom reference(s); expected "
+                    "exact with 2, zero or surjective with 1", assertion.line))
+                continue
             refs, found = [], []
             for ref in assertion.refs:
                 entry, problem = _lookup(by_name, ref, assertion.line)
@@ -488,8 +492,9 @@ def _parse_line(groups: dict, homs: dict, assertions: list, spaces: dict,
         torsion, _, rest = rest.partition("]")
         torsion = [d.strip() for d in torsion.split(",")] if torsion.strip() else []
         gens = rest.split()
-        if not (rest[:1].isspace() and len(gens) == 2 and gens[0] == "gens" and all(
-                map(_digits, [degree.rstrip(), free_rank.strip(), *torsion]))):
+        if not (rest[:1].isspace() and '"' not in rest and len(gens) == 2
+                and gens[0] == "gens"
+                and all(map(_digits, [degree.rstrip(), free_rank.strip(), *torsion]))):
             raise ValueError("malformed group line")
         space, degree, free_rank = _space(spaces, space), int(degree), int(free_rank)
         torsion = tuple(map(int, torsion))
@@ -532,13 +537,11 @@ def _parse_line(groups: dict, homs: dict, assertions: list, spaces: dict,
             return
         homs[key] = HomEntry(*key, matrix, provenance, lineno, None)
     elif directive in ("assert_exact", "assert_zero", "assert_surjective"):
-        exact = directive == "assert_exact"
-        refs = line.split()[1:]
-        if len(refs) != (2 if exact else 1):
+        kind, refs = directive.removeprefix("assert_"), line.split()[1:]
+        if len(refs) != _ASSERTION_REFS[kind]:
             raise ValueError(f"{directive} needs exactly " + (
-                "two hom references" if exact else "one hom reference"))
-        assertions.append(Assertion(directive.removeprefix("assert_"),
-                                    tuple(HomRef.parse(r, spaces) for r in refs),
+                "two hom references" if kind == "exact" else "one hom reference"))
+        assertions.append(Assertion(kind, tuple(HomRef.parse(r, spaces) for r in refs),
                                     lineno))
     else:
         raise ValueError(f"unrecognized directive {_cut(directive)!r}")

@@ -168,6 +168,15 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def zero_hom(source: FgAbGroup, target: FgAbGroup) -> Homomorphism:
+    return Homomorphism(source, target,
+                        [[0] * source.dim for _ in range(target.dim)])
+
+
+def identity_hom(group: FgAbGroup) -> Homomorphism:
+    return Homomorphism(group, group, _identity(group.dim))
+
+
 def reference_snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int):
     """Return (U, D, V, rank) with U*matrix*V = D.
 
@@ -374,7 +383,7 @@ def _homref_parse(token: str) -> HomRef:
 # digits, and int() a sign or underscores
 _GROUP_RE = re.compile(
     rf'^group\s+(\S+)\s+({_NUM})\s*=\s*({_NUM})\s*'
-    rf'\[\s*((?:{_NUM}(?:\s*,\s*{_NUM})*)?)\s*\]\s+gens\s+(\S+)'
+    rf'\[\s*((?:{_NUM}(?:\s*,\s*{_NUM})*)?)\s*\]\s+gens\s+([^\s"]+)'
     r'\s+src\s+"([^"]*)"$')
 _HOM_RE = re.compile(
     rf'^hom\s+(\w+)\s+(\S+?),({_NUM})\s*->\s*(\S+?),({_NUM})\s+matrix\s+(\[.*\])'

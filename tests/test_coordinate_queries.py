@@ -41,6 +41,7 @@ from oracles import (
     brute_image,
     random_well_defined_hom,
     reference_table_conditions,
+    zero_hom,
 )
 
 S = SpaceId.sphere
@@ -157,7 +158,7 @@ def test_database_replaces_a_map_between_other_groups(db):
     # one the Database resolves from its matrix, whatever map it was given
     entry = db.homs[0]
     other = FgAbGroup(0, (7,))
-    bad = entry.replace(hom=fgab.zero_hom(other, other))
+    bad = entry.replace(hom=zero_hom(other, other))
     rebuilt = Database(db.version, db.groups, (bad, *db.homs[1:]), db.assertions)
     hom = rebuilt.homs[0].hom
     assert (hom.source, hom.target) == (db.get_group(*entry.source),

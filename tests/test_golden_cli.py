@@ -87,6 +87,13 @@ ERROR_COMMANDS = [
     ["classify", "--K", "R", "--m", "3", "--nprime", "2", "--f1", "1", "--f2", "1",
      "--db", "malformed.nielsendb"],
     ["db-validate", "--db", "badversion.nielsendb"],
+    # the order of effects: f1 is echoed before f2 is parsed, sphere parses
+    # both classes before it echoes either, and the database is loaded
+    # before the slice is checked
+    ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "1", "--f2", "x"],
+    ["sphere", "--m", "11", "--n", "6", "--f1", "1", "--f2", "x"],
+    ["self", "--K", "R", "--m", "1", "--nprime", "6", "--f", "1",
+     "--db", "missing.nielsendb"],
 ]
 
 # help, a bad choice, an abbreviated option name, a negative value in its

@@ -26,8 +26,6 @@ from nielsencalc.homotopy_db import (
 from oracles import mat_mul, reference_exact_at, reference_strip_comment
 
 S = SpaceId.sphere
-V = SpaceId.stiefel
-P = SpaceId.projective
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +38,8 @@ def db():
 
 def test_space_parse_and_render():
     assert str(SpaceId.parse("S(6)")) == "S(6)"
-    assert SpaceId.parse("V(R,6)") == V("R", 6)
-    assert SpaceId.parse("P(H,3)") == P("H", 3)
+    assert SpaceId.parse("V(R,6)") == SpaceId("V", "R", 6)
+    assert SpaceId.parse("P(H,3)") == SpaceId("P", "H", 3)
     with pytest.raises(ValueError):
         SpaceId.parse("S(0)")
     with pytest.raises(ValueError):
@@ -59,7 +57,7 @@ def test_default_db_loads(db):
 def test_get_group_examples(db):
     assert db.get_group(S(6), 11) == FgAbGroup(1, ())
     assert db.get_group(S(5), 10) == FgAbGroup(0, (2,))
-    assert db.get_group(V("R", 6), 10) == FgAbGroup(0, ())
+    assert db.get_group(SpaceId("V", "R", 6), 10) == FgAbGroup(0, ())
 
 
 def test_lookup_never_fabricates(db):
@@ -208,6 +206,15 @@ def test_serialize_refuses_a_label_that_would_not_read_back(db, label):
         serialize(_with_group(db, labels=(label,)))
 
 
+@pytest.mark.parametrize("citation", ['"x"', '"x#y"'])
+def test_a_quote_in_a_label_is_a_malformed_group_line(citation):
+    # whatever the citation holds, so no label that serialize refuses loads
+    _, violations = hdb.check(
+        f'nielsendb v1\ngroup S(2) 2 = 1 [] gens a"b src {citation}\n')
+    assert [(v.kind, v.message, v.line) for v in violations] == [
+        ("parse", "malformed group line", 2)]
+
+
 def test_serialize_refuses_a_label_count_other_than_the_dimension(db):
     for labels in [(), ("a", "b")]:
         with pytest.raises(ValueError, match=r"pi_11\(S\(6\)\): "
@@ -283,7 +290,19 @@ INVALID = {
     ("group_key", "filed under a key other than its own"):
         lambda db: {"groups": {**db.groups, (S(2), 2): GroupEntry(
             S(3), 3, FgAbGroup(1, ()), ("g",), "x")}},
+    ("assertion_shape", "'exact' with 1 hom reference(s)"):
+        lambda db: _asserting(db, "exact", "fiber_incl"),
+    ("assertion_shape", "'zero' with 0 hom reference(s)"):
+        lambda db: _asserting(db, "zero"),
+    ("assertion_shape", "'frob' with 1 hom reference(s)"):
+        lambda db: _asserting(db, "frob", "fiber_incl"),
+    ("version", "unsupported version"):
+        lambda db: {"version": "v2"},
 }
+
+# a text files each group under its own key, and the parser refuses any
+# other version or assertion shape as a parse error
+NOT_IN_TEXT = ("group_key", "assertion_shape", "version")
 
 
 @pytest.mark.parametrize("kind, words", list(INVALID))
@@ -295,7 +314,7 @@ def test_every_violation_kind_is_refused_on_every_path(kind, words):
               "assertions": db.assertions, **changes}
     paths = {"Database": lambda: Database(**fields),
              "replace": lambda: db.replace(**changes)}
-    if kind != "group_key":     # a text files each group under its own key
+    if kind not in NOT_IN_TEXT:
         text = serialize(SimpleNamespace(**fields))
         paths["loads"] = lambda: loads(text)
     reported = {}

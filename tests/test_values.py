@@ -17,7 +17,7 @@ from nielsencalc.classifier import (
     classify_sphere_target,
     reidemeister_count,
 )
-from nielsencalc.fgab import FgAbGroup, Homomorphism, Subgroup, identity_hom
+from nielsencalc.fgab import FgAbGroup, Homomorphism, Subgroup
 from nielsencalc.homotopy_db import (
     Assertion,
     Database,
@@ -33,6 +33,8 @@ from nielsencalc.homotopy_db import (
     serialize,
 )
 from nielsencalc.selfcoincidence import LoosenessVerdict, self_verdict
+
+from oracles import identity_hom
 
 S = SpaceId.sphere
 Z = FgAbGroup(1, ())
