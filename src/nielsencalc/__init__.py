@@ -13,7 +13,6 @@ from .fgab import (
     GroupElement,
     Homomorphism,
     Subgroup,
-    compose,
     exact_at,
     in_image,
     is_surjective,

@@ -54,13 +54,6 @@ class Infinity:
     Compares above every integer; the artifact never touches floats.
     """
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "inf"
 
@@ -142,14 +135,13 @@ def _sphere_key(db: Database, m: int, n: int) -> tuple[SpaceId, int]:  # of pi_m
 class ProjectiveSlice(Frozen):
     """The database data for maps S^m -> KP(n'), one per (K, m, n').
 
-    With n = d n', the lift group is pi_m(S^{n+d-1}); boundary is ∂_K into
-    pi_{m-1}(S^{n-1}), suspension is E into pi_m(S^n), and antipodal is
-    the action A on the lift group (K = R only; None for K = C or H, or
-    when the database lacks it).
+    With n = d n', boundary is ∂_K from the lift group pi_m(S^{n+d-1}),
+    its source, into pi_{m-1}(S^{n-1}); suspension is E into pi_m(S^n),
+    and antipodal is the action A on the lift group (K = R only; None for
+    K = C or H, or when the database lacks it).
     """
 
-    __slots__ = ("K", "m", "nprime", "lift_key", "lift_group", "boundary",
-                 "suspension", "antipodal")
+    __slots__ = ("K", "m", "nprime", "boundary", "suspension", "antipodal")
 
     @classmethod
     def resolve(cls, db: Database, K: str, m: int, nprime: int,
@@ -167,7 +159,7 @@ class ProjectiveSlice(Frozen):
             _check_slice_key(K, m, nprime)
             n = FIELD_DIMS[K] * nprime
             lift_key = (SpaceId.lift_sphere(K, nprime), m)
-            lift_group = db.require_group(*lift_key)
+            db.require_group(*lift_key)     # reported before a missing ∂
             low, high = (SpaceId.sphere(n - 1), m - 1), (SpaceId.sphere(n), m)
             boundary = db.require_hom_entry("boundary_K", lift_key, low)
             suspension = db.require_hom_entry("suspension_E", low, high)
@@ -178,13 +170,12 @@ class ProjectiveSlice(Frozen):
                 antipodal = None
             # setdefault: concurrent first calls all return one slice
             s = db._slices.setdefault(key, cls(
-                K, m, nprime, lift_key, lift_group, boundary, suspension,
-                antipodal))
-        group = s.lift_group
+                K, m, nprime, boundary, suspension, antipodal))
+        group = s.boundary.hom.source
         for lift in lifts:
             if lift.parent is not group and lift.parent != group:
                 raise ClassificationError(
-                    f"lift must live in pi_{m}({s.lift_key[0]}) = {group}")
+                    f"lift must live in pi_{m}({s.boundary.source[0]}) = {group}")
         if residues:
             d = FIELD_DIMS[K]
             residue_group = db.require_group(SpaceId.sphere(d - 1), m - 1)
@@ -269,7 +260,7 @@ def table_conditions(db: Database, f1: ProjectiveClass,
     b2_zero = not any(b2)
     real = s.K == "R"
     if real and s.antipodal is None:    # raises: only classify requires A
-        db.require_hom_entry("antipodal_A", s.lift_key, s.lift_key)
+        db.require_hom_entry("antipodal_A", s.boundary.source, s.boundary.source)
     a2 = s.antipodal.hom._apply(lift2) if real else lift2   # A∘f~_2
     free_homotopic = lift1 == lift2 or lift1 == a2
     eb2_zero = (not free_homotopic or b2_zero     # True where it is unread

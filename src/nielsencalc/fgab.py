@@ -8,18 +8,13 @@ torsion factor, stored reduced mod its factor), and homomorphisms are
 integer matrices whose column j gives the target coordinates of the
 image of source generator j.
 
-Everything reduces to Smith normal form over Z.  Each homomorphism
-caches one SNF of its augmented matrix [matrix | target relations], with
-only the transforms asked for so far: D alone for is_surjective and the
-cokernel of exact_at's left map; V for kernel and paired_injective (a
-kernel of a composite) and for image types (exact_at's right map,
-Subgroup.isomorphism_type, which builds its map Z^k -> ambient at each
-call); U for membership without a witness (_image_contains, the
-classifier's im E test); both for in_image.  An onto map's image type
-is its target, read off D; only a map that is not onto gets V for it,
-presenting the image by the kernel lattice in a second SNF.  exact_at compares
-invariant factors, which suffices because f.g. abelian groups are
-Hopfian, and tests the composite column by column without building it.
+Everything reduces to Smith normal form over Z of the matrices that one
+builder, _with_relations, writes: the rows of one or more maps, then a
+column per torsion relation of their targets.  Each homomorphism caches
+one SNF of its own, with only the transforms asked for.  An onto map's
+image type is its target, read off D.  exact_at compares invariant
+factors, which suffices because f.g. abelian groups are Hopfian, and
+tests the composite column by column without building it.
 A query that holds canonical coordinates needs no GroupElement:
 Homomorphism._apply maps them to canonical target coordinates and
 _image_contains tests them against im(h), neither checking its input.
@@ -42,7 +37,6 @@ __all__ = [
     "Homomorphism",
     "Subgroup",
     "smith_normal_form",
-    "compose",
     "kernel",
     "in_image",
     "is_surjective",
@@ -80,13 +74,8 @@ def _snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int,
     of its columns, which is how every caller reads it.  Pivots are chosen
     as the entry of minimal absolute value, first occurrence in row-major
     order; this makes the output deterministic.  U is None unless want_u
-    and V is None unless want_v; the pivots and D do not depend on them.
-    kernel (and through it paired_injective) and _image_type (the right
-    map of exact_at, Subgroup.isomorphism_type) want V, _image_type only
-    for a map that is not onto; _image_contains
-    (the classifier's im E test) wants U; in_image wants both, and so
-    does smith_normal_form, which transposes V; is_surjective, the left
-    map of exact_at and FgAbGroup.from_presentation want neither.
+    and V is None unless want_v; the pivots and D do not depend on them,
+    so a caller asks only for the transforms it reads.
 
     Step t works on the active block, rows and columns t onwards: a row
     operation updates row[t:], a column operation only the rows with a
@@ -412,14 +401,9 @@ class Homomorphism(Frozen):
             if (has_u or not want_u) and (has_v or not want_v):
                 return cached
             want_u, want_v = want_u or has_u, want_v or has_v
-        fr, sdim = self.target.free_rank, self.source.dim
-        torsion = self.target.torsion
-        nrows, ncols = self.target.dim, sdim + len(torsion)
-        aug = [list(row) + [0] * len(torsion) for row in self.matrix]
-        for k, d in enumerate(torsion):    # relations d_k * e_(fr + k) = 0
-            aug[fr + k][sdim + k] = d
-        u, d, v, rank = _snf(aug, nrows, ncols, want_u, want_v)
-        cached = (u, d, v, rank, nrows, ncols)
+        aug, ncols = _with_relations(self.matrix, self.source.dim, (self.target,))
+        u, d, v, rank = _snf(aug, len(aug), ncols, want_u, want_v)
+        cached = (u, d, v, rank, len(aug), ncols)
         setfield(self, "_snf_cache", cached)
         return cached
 
@@ -427,15 +411,17 @@ class Homomorphism(Frozen):
         return f"Homomorphism({self.source} -> {self.target}, {self.matrix!r})"
 
 
-def compose(g: Homomorphism, h: Homomorphism) -> Homomorphism:
-    """The composite x -> g(h(x)); requires h.target = g.source."""
-    if h.target != g.source:
-        raise ValueError("shape mismatch: h.target must equal g.source")
-    # h has no rows when its target is trivial; zip(*()) cannot recover
-    # its source.dim columns
-    cols = list(zip(*h.matrix)) if h.matrix else [()] * h.source.dim
-    prod = [[sum(map(mul, row, col)) for col in cols] for row in g.matrix]
-    return Homomorphism(h.source, g.target, prod)
+def _with_relations(rows: Sequence[Sequence[int]], sdim: int,
+                    targets: tuple[FgAbGroup, ...]):
+    """([rows | relations], its column count) for rows of sdim entries over
+    the direct sum of targets: a column d * e_i for each row i taken mod d.
+    A direct sum is not in invariant-factor form, so it stays row moduli."""
+    moduli = [d for t in targets for d in (0,) * t.free_rank + t.torsion]
+    relations = [i for i, d in enumerate(moduli) if d]
+    aug = [list(row) + [0] * len(relations) for row in rows]
+    for k, i in enumerate(relations, sdim):
+        aug[i][k] = moduli[i]
+    return aug, sdim + len(relations)
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +523,19 @@ def is_surjective(h: Homomorphism) -> bool:
 def paired_injective(h1: Homomorphism, h2: Homomorphism) -> bool:
     """Is the pairing x -> (h1(x), h2(x)) injective, i.e. ker h1 ∩ ker h2 = 0?
 
-    With incl: Z^k -> ker h1 the assembly of the kernel, the intersection
-    is incl(ker(h2 ∘ incl)), so it vanishes exactly when incl kills every
-    generator of that kernel."""
-    if h1.source != h2.source:
+    In one SNF of the rows of h1 and h2 with both targets' relations, the
+    columns of V past the rank span the source vectors both maps send to
+    zero: none may be nonzero in the source, on its free part or mod d."""
+    source = h1.source
+    if source != h2.source:
         raise ValueError("shape mismatch: the two maps must share a source")
-    incl = _assembly(h1.source, kernel(h1).generators)
-    return all(incl(g).is_zero for g in kernel(compose(h2, incl)).generators)
+    aug, ncols = _with_relations(h1.matrix + h2.matrix, source.dim,
+                                 (h1.target, h2.target))
+    _, _, vcols, rank = _snf(aug, len(aug), ncols, want_u=False, want_v=True)
+    fr = source.free_rank
+    return all(not any(col[:fr])
+               and not any(map(int.__mod__, col[fr:source.dim], source.torsion))
+               for col in vcols[rank:])
 
 
 def exact_at(left: Homomorphism, right: Homomorphism) -> bool:

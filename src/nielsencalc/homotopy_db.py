@@ -405,10 +405,11 @@ def _hom_fields(line: str):
 _BAD_MATRIX = ("bad matrix literal: expected a list of rows of decimal "
                "integers, such as [[1,0],[-2,3]]")
 
-# a matrix literal's shape: '[' and ',' start a number, so both read ','; a
-# digit 1-9 reads '1' and any other ASCII character but ']', '-' and '0' 'x'
-_SHAPE = str.maketrans({**dict.fromkeys(map(chr, range(128)), "x"), "[": ",",
-                        ",": ",", "]": "]", "-": "-", "0": "0",
+# a matrix literal's shape: '[', ',', a space, a tab and '-' can come
+# before the digits of a number, so all five read ','; a digit 1-9 reads
+# '1' and any other ASCII character but ']' and '0' 'x'
+_SHAPE = str.maketrans({**dict.fromkeys(map(chr, range(128)), "x"),
+                        **dict.fromkeys("[, \t-", ","), "]": "]", "0": "0",
                         **dict.fromkeys("123456789", "1")})
 
 
@@ -422,34 +423,31 @@ def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
         sep, bracket, bodies[k] = bodies[k].partition("[")
         if not bracket or sep.strip(" \t") != ",":
             raise ValueError(_BAD_MATRIX)
-    items = [body.split(",") for body in bodies]
-    # fast path: ASCII brackets, commas, '-' and digits only, with no '-0'
-    # and no number with a leading zero, checked on the whole text at
-    # once; int() then refuses the rest ('--', a lone '-', an empty item)
+    # ASCII brackets, commas, blanks, '-' and digits only, and no number
+    # with a leading zero, checked on the whole text at once; int() refuses
+    # the rest: a blank inside a number, '--', a lone '-', an empty item or
+    # too many digits
     shape = text.translate(_SHAPE)
-    rows = None
-    if (shape.isascii() and "x" not in shape and "-0" not in shape
-            and ",00" not in shape and ",01" not in shape):
+    if not (shape.isascii() and "x" not in shape and ",00" not in shape
+            and ",01" not in shape):
+        raise ValueError(_BAD_MATRIX)
+    rows = []
+    for body in bodies:
         try:
-            rows = tuple(tuple(map(int, row)) for row in items)
+            rows.append(tuple(map(int, body.split(","))))
         except ValueError:
-            pass
-    if rows is None:
-        # blanks, -0, an empty row or too many digits: check the text of
-        # every row, then convert
-        items = [[x.strip(" \t") for x in row] for row in items]
-        items = [[] if row == [""] else row for row in items]
-        if not all(d == "0" or _digits(d) and d[0] != "0"
-                   for row in items for d in (x.removeprefix("-") for x in row)):
-            raise ValueError(_BAD_MATRIX)
-        rows = tuple(tuple(map(int, row)) for row in items)
+            if body.strip(" \t"):     # a row of blanks is an empty row
+                raise ValueError(_BAD_MATRIX) from None
+            rows.append(())
     if len(set(map(len, rows))) > 1:
         raise ValueError("matrix rows have unequal lengths")
-    return rows
+    return tuple(rows)
 
 
 def check(text: str, origin: str = "<string>"):
-    """Parse + validate without raising; returns (db_or_None, violations)."""
+    """Parse and validate without raising: (db, violations), valid exactly
+    when violations is empty.  db holds the lines that parsed, or is None
+    without a valid version line or when the Database constructor refuses."""
     version: Optional[str] = None
     groups: dict[tuple[SpaceId, int], GroupEntry] = {}
     homs: dict[tuple, HomEntry] = {}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from itertools import product
 from types import MappingProxyType, SimpleNamespace
 from typing import Optional, Sequence
 
@@ -26,7 +27,6 @@ from nielsencalc.fgab import (
     GroupElement,
     Homomorphism,
     Subgroup,
-    compose,
     exact_at,
     in_image,
     is_surjective,
@@ -140,6 +140,29 @@ def all_finite_groups(max_order: int, max_factors: int = 3) -> list[FgAbGroup]:
     return groups
 
 
+def all_homs(source: FgAbGroup, target: FgAbGroup) -> list[Homomorphism]:
+    """Every homomorphism between finite groups: each generator of order d
+    goes to each element of the target that d kills."""
+    images = [[y for y in target.elements() if (d * y).is_zero]
+              for d in source.torsion]
+    return [Homomorphism(source, target,
+                         [[y.coords[i] for y in column] for i in range(target.dim)])
+            for column in product(*images)]
+
+
+def all_slices(max_order: int):
+    """Every K = R slice over the groups of order <= max_order, as
+    (∂, E, A): the lift group L and M = pi_{m-1}(S^{n-1}) range over those
+    groups, with every ∂: L -> M, every E: M -> L and every automorphism
+    A of L, found by the size of its image."""
+    groups = all_finite_groups(max_order)
+    for lift in groups:
+        autos = [a for a in all_homs(lift, lift)
+                 if len(brute_image(a)) == lift.order()]
+        for low in groups:
+            yield from product(all_homs(lift, low), all_homs(low, lift), autos)
+
+
 def random_well_defined_hom(rng: random.Random, source: FgAbGroup,
                             target: FgAbGroup) -> Homomorphism:
     """Random homomorphism: each source generator of order d is sent to a
@@ -175,6 +198,18 @@ def zero_hom(source: FgAbGroup, target: FgAbGroup) -> Homomorphism:
 
 def identity_hom(group: FgAbGroup) -> Homomorphism:
     return Homomorphism(group, group, _identity(group.dim))
+
+
+def compose(g: Homomorphism, h: Homomorphism) -> Homomorphism:
+    """The composite x -> g(h(x)); requires h.target = g.source."""
+    if h.target != g.source:
+        raise ValueError("shape mismatch: h.target must equal g.source")
+    # h has no rows when its target is trivial; zip(*()) cannot recover
+    # its source.dim columns
+    cols = list(zip(*h.matrix)) if h.matrix else [()] * h.source.dim
+    prod = [[sum(a * b for a, b in zip(row, col)) for col in cols]
+            for row in g.matrix]
+    return Homomorphism(h.source, g.target, prod)
 
 
 def reference_snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int):

@@ -179,7 +179,7 @@ def _literal_database(literal):
 @example('nielsendb v1\nhom suspension_E S(2),2 -> S(3),3 matrix [[01]] src "c"')
 @example('nielsendb v1\nhom 2nd_map S(2),2 -> S(3),3 matrix [[1]] src "c"')
 @example("nielsendb v1\n" + "[" * 40 + "]" * 40)
-# literals on both sides of the matrix parser's fast path
+# literals that only the shape test and int() tell apart
 @example(_literal_database("[[--1]]"))
 @example(_literal_database("[[-01]]"))
 @example(_literal_database("[[00]]"))
@@ -188,6 +188,14 @@ def _literal_database(literal):
 @example(_literal_database("[[1,]]"))
 @example(_literal_database("[[]]"))
 @example(_literal_database("[[10,-0]]"))
+# blanks read as the start of a number, rows of blanks, and a blank inside one
+@example(_literal_database("[[ 01]]"))
+@example(_literal_database("[[1,\t01]]"))
+@example(_literal_database("[[ -01]]"))
+@example(_literal_database("[[1 2]]"))
+@example(_literal_database("[ [ ] ]"))
+@example(_literal_database("[[-0 ]]"))
+@example(_literal_database("[[1],[ ]]"))
 def test_grammar_agrees_with_the_regular_expressions(text):
     assert _outcome(hdb.check(text)) == _outcome(reference_check(text))
 

@@ -38,6 +38,7 @@ from nielsencalc.homotopy_db import (
 from nielsencalc.selfcoincidence import self_verdict
 from oracles import (
     all_finite_groups,
+    all_slices,
     brute_image,
     random_well_defined_hom,
     reference_table_conditions,
@@ -110,6 +111,27 @@ def test_table_agrees_with_the_element_level_reference_on_random_slices():
     check()
     # both consistent slices and slices that break exclusivity occur
     assert seen == {True, False}
+
+
+def test_table_agrees_with_the_element_level_reference_on_every_small_slice():
+    # K = R, m = 5, n' = 2: E lands in the lift group pi_5(S(2))
+    lift, low = (S(2), 5), (S(1), 4)
+    count = exclusive = 0
+    for boundary, suspension, antipodal in all_slices(4):
+        groups = {key: GroupEntry(*key, group, ("g",) * group.dim, "all")
+                  for key, group in ((lift, boundary.source),
+                                     (low, boundary.target))}
+        homs = [HomEntry(name, source, target, hom.matrix, "all")
+                for name, source, target, hom in (
+                    ("boundary_K", lift, low, boundary),
+                    ("suspension_E", low, lift, suspension),
+                    ("antipodal_A", lift, lift, antipodal))]
+        db = Database("v1", groups, homs, ())
+        exclusive += _assert_tables_agree(db, "R", 5, 2,
+                                          list(boundary.source.elements()))
+        count += 1
+    # 319 slices are consistent: exactly one case fires on every lift pair
+    assert (count, exclusive) == (1873, 319)
 
 
 @pytest.mark.parametrize("K, m, nprime", SHIPPED_SLICES)

@@ -6,7 +6,6 @@ from nielsencalc.fgab import (
     FgAbGroup,
     Homomorphism,
     Subgroup,
-    compose,
     exact_at,
     in_image,
     is_surjective,
@@ -14,12 +13,14 @@ from nielsencalc.fgab import (
     paired_injective,
     smith_normal_form,
 )
+from nielsencalc import fgab
 from nielsencalc.fgab import _image_contains
 
 from oracles import (
     all_finite_groups,
     brute_image,
     brute_kernel,
+    compose,
     det,
     divisibility_chain_holds,
     identity_hom,
@@ -317,14 +318,39 @@ def test_paired_injective_shape_mismatch():
         paired_injective(identity_hom(Z2), identity_hom(Z4))
 
 
+def test_paired_injective_runs_one_snf_and_builds_no_homomorphism(monkeypatch):
+    src = FgAbGroup(1, (2, 4))
+    h1 = Homomorphism(src, FgAbGroup(1, (4,)), [[0, 0, 0], [0, 2, 1]])
+    h2 = Homomorphism(src, FgAbGroup(1, (2,)), [[3, 0, 0], [0, 0, 1]])
+    snfs, built = [], []
+    real_snf, init = fgab._snf, Homomorphism.__init__
+
+    def snf(*args, **kwargs):
+        snfs.append(args)
+        return real_snf(*args, **kwargs)
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fgab, "_snf", snf)
+    monkeypatch.setattr(Homomorphism, "__init__", counting)
+    # (0, 1, 2) is in both kernels
+    assert not paired_injective(h1, h2)
+    assert (len(snfs), built) == (1, [])
+
+
 def test_paired_injective_against_enumeration():
     rng = random.Random(64)
     groups = all_finite_groups(64, 3)
     seen = set()
     for _ in range(300):
         src = rng.choice(groups)
-        h1, h2 = (random_well_defined_hom(rng, src, rng.choice(groups))
-                  for _ in range(2))
+        # targets with free rows: the second target's relation columns
+        # follow rows of the first that have none
+        h1, h2 = (random_well_defined_hom(
+            rng, src, FgAbGroup(rng.randint(0, 2), rng.choice(groups).torsion))
+            for _ in range(2))
         injective = brute_kernel(h1) == {src.zero()}
         expected = brute_kernel(h1) & brute_kernel(h2) == {src.zero()}
         assert (not kernel(h1).generators) == injective

@@ -23,7 +23,8 @@ from nielsencalc.homotopy_db import (
     validate,
 )
 
-from oracles import mat_mul, reference_exact_at, reference_strip_comment
+from oracles import (compose, mat_mul, reference_exact_at,
+                     reference_strip_comment)
 
 S = SpaceId.sphere
 
@@ -89,7 +90,6 @@ def test_every_hom_well_defined_and_antipodals_are_automorphisms(db):
 def test_antipodal_action_preserves_hopf_coordinate(db):
     # postcomposition with a degree d map multiplies the Hopf invariant by
     # d^2, so the antipodal action must commute with the stored H
-    from nielsencalc.fgab import compose
     antip = db.get_hom("antipodal_A", (S(6), 11), (S(6), 11))
     hopf = db.get_hom("hopf_H", (S(6), 11), (S(6), 11))
     assert compose(hopf, antip) == hopf
@@ -798,10 +798,10 @@ def test_load_leaves_no_onto_right_map_holding_v(source):
 
 def _record_presentations(monkeypatch):
     """The right maps whose image type FgAbGroup.from_presentation builds
-    while the patch is in place, one per call, and the fgab.compose calls."""
-    presented, composed, asking = [], [], []
+    while the patch is in place, one per call."""
+    presented, asking = [], []
     real_present = FgAbGroup.from_presentation
-    real_image_type, real_compose = fgab._image_type, fgab.compose
+    real_image_type = fgab._image_type
 
     def present(num_generators, relations):
         presented.append(asking[-1] if asking else None)
@@ -814,21 +814,15 @@ def _record_presentations(monkeypatch):
         finally:
             asking.pop()
 
-    def compose(g, h):
-        composed.append((g, h))
-        return real_compose(g, h)
-
     monkeypatch.setattr(FgAbGroup, "from_presentation", staticmethod(present))
     monkeypatch.setattr(fgab, "_image_type", image_type)
-    monkeypatch.setattr(fgab, "compose", compose)
-    return presented, composed
+    return presented
 
 
 def test_load_presents_an_image_only_for_a_right_map_that_is_not_onto(monkeypatch):
-    presented, composed = _record_presentations(monkeypatch)
+    presented = _record_presentations(monkeypatch)
     loads(_slice_text(*_rank12_slice()))
-    assert (presented, composed) == ([], [])
+    assert presented == []
     db = load_default()
     not_onto = db.get_hom("boundary_K", (S(6), 6), (S(5), 5))
     assert len(presented) == 1 and presented[0] is not_onto
-    assert composed == []
