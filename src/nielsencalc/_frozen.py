@@ -7,12 +7,10 @@ constructor taking fields by position or keyword, == and hash over _key
 (the tuple of compared fields), a dataclass-style repr, replace() and
 pickling, and refuses assignment and deletion, compiling nothing per
 class.  A subclass writes __init__ only to check or canonicalise its
-inputs, then passes the fields to Frozen.__init__ by position.  A class
-hashed on every query (SpaceId, a dict key of Database lookups) declares
-a _key slot, which Frozen.__init__ fills; for the others _key is
-computed when == or hash asks for it.  LoosenessVerdict, which every
-self_verdict builds, sets its fields with setfield instead, at half the
-cost of the generic constructor.
+inputs or to set private state, and every subclass sets its fields
+through Frozen.__init__.  A class hashed on every query (SpaceId, a dict
+key of Database lookups) declares a _key slot, which Frozen.__init__
+fills; for the others _key is computed when == or hash asks for it.
 """
 
 from operator import attrgetter, itemgetter

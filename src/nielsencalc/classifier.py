@@ -14,7 +14,8 @@ validated database:
 The classification consumes only the lift component of a projective
 class: the complementary residue component never changes the numbers
 and is merely echoed back as a note.  Everything it reads from the
-database for one (K, m, n') comes from a single ProjectiveSlice.  Past
+database for one (K, m, n') comes from a single ProjectiveSlice, which
+also memoises the looseness verdicts that self_verdict shares.  Past
 its parent checks a query reads canonical coordinates and returns a
 shared immutable answer (the circle's alone is built per call).  An
 answer stores (N#, MCC, MC), and its flags are read off them.
@@ -25,7 +26,7 @@ from __future__ import annotations
 from functools import total_ordering
 from typing import Optional, Union
 
-from ._frozen import Frozen
+from ._frozen import Frozen, setfield
 from .fgab import GroupElement, _image_contains
 from .homotopy_db import (FIELD_DIMS, Database, InsufficientDataError, SpaceId,
                           _int_at_least)
@@ -138,10 +139,16 @@ class ProjectiveSlice(Frozen):
     With n = d n', boundary is ∂_K from the lift group pi_m(S^{n+d-1}),
     its source, into pi_{m-1}(S^{n-1}); suspension is E into pi_m(S^n),
     and antipodal is the action A on the lift group (K = R only; None for
-    K = C or H, or when the database lacks it).
+    K = C or H, or when the database lacks it).  _verdicts memoises the
+    self_verdict answers by (∂x = 0, E∂x = 0), at most three.
     """
 
-    __slots__ = ("K", "m", "nprime", "boundary", "suspension", "antipodal")
+    __slots__ = ("K", "m", "nprime", "boundary", "suspension", "antipodal",
+                 "_verdicts")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        setfield(self, "_verdicts", {})
 
     @classmethod
     def resolve(cls, db: Database, K: str, m: int, nprime: int,
@@ -252,9 +259,10 @@ def table_conditions(db: Database, f1: ProjectiveClass,
     under free homotopy and ∂[f~_2] != 0; and the im E solve of 0 = f~_1 - f~_2."""
     if (f1.K, f1.m, f1.nprime) != (f2.K, f2.m, f2.nprime):
         raise ClassificationError("the two classes must share (K, m, n')")
+    residues = () if f1.residue is f2.residue is None else tuple(
+        f.residue for f in (f1, f2) if f.residue is not None)
     s = ProjectiveSlice.resolve(
-        db, f1.K, f1.m, f1.nprime, (f1.lift, f2.lift),
-        tuple(f.residue for f in (f1, f2) if f.residue is not None))
+        db, f1.K, f1.m, f1.nprime, (f1.lift, f2.lift), residues)
     lift1, lift2 = f1.lift.coords, f2.lift.coords
     b2 = s.boundary.hom._apply(lift2)
     b2_zero = not any(b2)
@@ -347,9 +355,8 @@ def classify_sphere_target(db: Database, m: int, n: int,
     if m == 1 and n == 1:
         count = abs(class1.coords[0] - class2.coords[0])
         return CoincidenceAnswer(
-            case_id="circle",
-            condition="f_1 !~ A∘f_2 on the circle: |deg f_1 - deg f_2| points",
-            nielsen=count, mcc=count, mc=count)
+            "circle", "f_1 !~ A∘f_2 on the circle: |deg f_1 - deg f_2| points",
+            count, count, count)
     if m < n or n == 1:
         # pi_m(S^n) = 0 for m < n, and pi_m(S^1) = 0 for m >= 2, so only a
         # database that claims a nontrivial such group gets here
@@ -374,33 +381,20 @@ def classify_space_form(query: SpaceFormQuery) -> CoincidenceAnswer:
     if query.n % 2 == 1:
         if query.homotopic:
             return CoincidenceAnswer(
-                case_id="spaceform-loose",
-                condition="odd n, f_1 ~ f_2",
-                nielsen=0, mcc=0, mc=0,
-                notes=("MC = 0 forced: MCC = 0 means the pair is loose",))
-        return CoincidenceAnswer(
-            case_id="spaceform-full",
-            condition="odd n, f_1 !~ f_2",
-            nielsen=g, mcc=g, mc=None,
-            notes=("MC not determined in this setting",))
+                "spaceform-loose", "odd n, f_1 ~ f_2", 0, 0, 0,
+                ("MC = 0 forced: MCC = 0 means the pair is loose",))
+        return CoincidenceAnswer("spaceform-full", "odd n, f_1 !~ f_2", g, g, None,
+                                 ("MC not determined in this setting",))
     if not query.homotopic:
         return CoincidenceAnswer(
-            case_id="spaceform-even-full",
-            condition="even n, f_1 !~ f_2",
-            nielsen=g, mcc=g, mc=None,
-            notes=(
-                f"N# in {{0,...,{g}}}; N# != {g} would force f_1 ~ f_2, "
-                f"contradicting homotopic=false; hence N# = {g}",
-                f"MCC = {g}: N# <= MCC <= #pi_0(E) = #G = {g}",
-            ))
+            "spaceform-even-full", "even n, f_1 !~ f_2", g, g, None,
+            (f"N# in {{0,...,{g}}}; N# != {g} would force f_1 ~ f_2, "
+             f"contradicting homotopic=false; hence N# = {g}",
+             f"MCC = {g}: N# <= MCC <= #pi_0(E) = #G = {g}"))
     return CoincidenceAnswer(
-        case_id="spaceform-even-indeterminate",
-        condition="even n, f_1 ~ f_2",
-        nielsen=None, mcc=None, mc=None,
-        notes=(
-            "indeterminate: for a homotopic pair on an even space form "
-            "N# and MCC lie in {0, 1} but are not fixed by the inputs",
-        ))
+        "spaceform-even-indeterminate", "even n, f_1 ~ f_2", None, None, None,
+        ("indeterminate: for a homotopic pair on an even space form "
+         "N# and MCC lie in {0, 1} but are not fixed by the inputs",))
 
 
 # ---------------------------------------------------------------------------

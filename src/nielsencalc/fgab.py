@@ -381,8 +381,11 @@ class Homomorphism(Frozen):
     def _apply(self, coords: Sequence[int]) -> tuple[int, ...]:
         """Canonical image coordinates of unchecked source coordinates."""
         image = _mat_vec(self.matrix, coords)
-        fr = self.target.free_rank
-        return (*image[:fr], *map(int.__mod__, image[fr:], self.target.torsion))
+        target = self.target
+        if target.torsion:
+            for i, d in enumerate(target.torsion, target.free_rank):
+                image[i] %= d
+        return tuple(image)
 
     def is_zero_map(self) -> bool:
         # rows are stored reduced modulo the target torsion, so the map

@@ -8,6 +8,9 @@ verdict is read off two exact evaluations:
   whether f is coincidence producing;
 * the obstruction invariant vanishes  <=>  E(boundary([f~])) = 0.
 
+The verdicts are shared: each slice builds one per outcome of the two
+evaluations, at most three, and returns it on every later call.
+
 The interesting phenomenon is the gap: the obstruction can vanish while
 the pair is not loose by any deformation.  The structural criteria at
 the bottom predict exactly when such gap witnesses exist: each holds iff
@@ -16,7 +19,7 @@ the pairing of its two maps out of pi_{m-1}(S^{n-1}) is injective.
 
 from __future__ import annotations
 
-from ._frozen import Frozen, setfield
+from ._frozen import Frozen
 from .fgab import GroupElement, Homomorphism, paired_injective
 from .homotopy_db import Database
 from .classifier import ClassificationError, ProjectiveSlice, _check_slice_key
@@ -38,20 +41,14 @@ class LoosenessVerdict(Frozen):
     case: the invariant vanishes but the pair is not loose.
     """
 
-    __slots__ = ("K", "m", "nprime", "small_deformation", "omega_sharp_zero",
-                 "_key")
+    __slots__ = ("K", "m", "nprime", "small_deformation", "omega_sharp_zero")
 
     def __init__(self, K: str, m: int, nprime: int, small_deformation: bool,
                  omega_sharp_zero: bool):
         _check_slice_key(K, m, nprime)
         if small_deformation and not omega_sharp_zero:
             raise ClassificationError("looseness forces the invariant to vanish")
-        setfield(self, "K", K)
-        setfield(self, "m", m)
-        setfield(self, "nprime", nprime)
-        setfield(self, "small_deformation", small_deformation)
-        setfield(self, "omega_sharp_zero", omega_sharp_zero)
-        setfield(self, "_key", (K, m, nprime, small_deformation, omega_sharp_zero))
+        super().__init__(K, m, nprime, small_deformation, omega_sharp_zero)
 
     @property
     def loose(self) -> bool:
@@ -77,13 +74,15 @@ def self_verdict(db: Database, K: str, m: int, nprime: int,
                  lift: GroupElement) -> LoosenessVerdict:
     """Looseness verdict for the self-pair of a class with the given lift:
     loose by small deformation iff boundary(lift) = 0, and the invariant
-    vanishes iff E(boundary(lift)) = 0."""
+    vanishes iff E(boundary(lift)) = 0.  The slice shares one verdict per
+    outcome, so at most three are built per slice."""
     s = ProjectiveSlice.resolve(db, K, m, nprime, (lift,))
     b = s.boundary.hom._apply(lift.coords)
     small = not any(b)
-    eb_zero = small or not any(s.suspension.hom._apply(b))     # E(0) = 0
-    return LoosenessVerdict(K, m, nprime, small_deformation=small,
-                            omega_sharp_zero=eb_zero)
+    key = small, small or not any(s.suspension.hom._apply(b))     # E(0) = 0
+    # setdefault: concurrent first calls all return one verdict
+    return s._verdicts.get(key) or s._verdicts.setdefault(
+        key, LoosenessVerdict(s.K, s.m, s.nprime, *key))
 
 
 def criteria_equivalence_iii(j_star: Homomorphism,

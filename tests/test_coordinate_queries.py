@@ -2,13 +2,15 @@
 
 table_conditions, self_verdict and classify_sphere_target apply the
 slice's maps to coordinate tuples (Homomorphism._apply) and test im E
-membership on them (fgab._image_contains); classify_projective and the
-sphere answers are shared immutable values.  These tests pin the
-coordinate path to the element-level one it replaced, and count the
-values a warmed query builds.
+membership on them (fgab._image_contains); classify_projective,
+self_verdict and the sphere answers are shared immutable values.  These
+tests pin the coordinate path to the element-level one it replaced, and
+count the values a warmed query builds.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -16,6 +18,7 @@ import nielsencalc.fgab as fgab
 from nielsencalc.classifier import (
     CoincidenceAnswer,
     ProjectiveClass,
+    ProjectiveSlice,
     classify_projective,
     classify_sphere_target,
     table_conditions,
@@ -35,7 +38,7 @@ from nielsencalc.homotopy_db import (
     SpaceId,
     load_default,
 )
-from nielsencalc.selfcoincidence import self_verdict
+from nielsencalc.selfcoincidence import LoosenessVerdict, self_verdict
 from oracles import (
     all_finite_groups,
     all_slices,
@@ -113,10 +116,10 @@ def test_table_agrees_with_the_element_level_reference_on_random_slices():
     assert seen == {True, False}
 
 
-def test_table_agrees_with_the_element_level_reference_on_every_small_slice():
-    # K = R, m = 5, n' = 2: E lands in the lift group pi_5(S(2))
+def _small_slice_dbs():
+    """A database per slice of oracles.all_slices(4), with its lifts; each
+    is K = R, m = 5, n' = 2, so that E lands in the lift group pi_5(S(2))."""
     lift, low = (S(2), 5), (S(1), 4)
-    count = exclusive = 0
     for boundary, suspension, antipodal in all_slices(4):
         groups = {key: GroupEntry(*key, group, ("g",) * group.dim, "all")
                   for key, group in ((lift, boundary.source),
@@ -126,21 +129,87 @@ def test_table_agrees_with_the_element_level_reference_on_every_small_slice():
                     ("boundary_K", lift, low, boundary),
                     ("suspension_E", low, lift, suspension),
                     ("antipodal_A", lift, lift, antipodal))]
-        db = Database("v1", groups, homs, ())
-        exclusive += _assert_tables_agree(db, "R", 5, 2,
-                                          list(boundary.source.elements()))
+        yield Database("v1", groups, homs, ()), list(boundary.source.elements())
+
+
+def test_table_agrees_with_the_element_level_reference_on_every_small_slice():
+    count = exclusive = 0
+    for db, lifts in _small_slice_dbs():
+        exclusive += _assert_tables_agree(db, "R", 5, 2, lifts)
         count += 1
     # 319 slices are consistent: exactly one case fires on every lift pair
     assert (count, exclusive) == (1873, 319)
 
 
+def _shipped_lifts(db, K, m, nprime):
+    d = FIELD_DIMS[K]
+    group = db.get_group(S(d * nprime + d - 1), m)
+    return [group.element((x,)) for x in range(-12, 13)]
+
+
 @pytest.mark.parametrize("K, m, nprime", SHIPPED_SLICES)
 def test_table_agrees_with_the_element_level_reference_on_shipped_slices(
         db, K, m, nprime):
-    d = FIELD_DIMS[K]
-    group = db.get_group(S(d * nprime + d - 1), m)
-    lifts = [group.element((x,)) for x in range(-12, 13)]
-    assert _assert_tables_agree(db, K, m, nprime, lifts)
+    assert _assert_tables_agree(db, K, m, nprime,
+                                _shipped_lifts(db, K, m, nprime))
+
+
+def _assert_verdicts_shared(db, K, m, nprime, lifts, owners) -> set:
+    """self_verdict against a verdict built from the element-level ∂x = 0
+    and E∂x = 0: lifts with one outcome get one object, and owners (id of
+    a verdict -> (verdict, slice)) shows that no other slice returns it.
+    Returns the outcomes seen."""
+    s = ProjectiveSlice.resolve(db, K, m, nprime, ())
+    by_outcome = {}
+    for x in lifts:
+        b = s.boundary.hom(x)
+        outcome = b.is_zero, s.suspension.hom(b).is_zero
+        verdict = self_verdict(db, K, m, nprime, x)
+        assert verdict == LoosenessVerdict(K, m, nprime, *outcome)
+        assert verdict is by_outcome.setdefault(outcome, verdict)
+        assert owners.setdefault(id(verdict), (verdict, s))[1] is s
+    return set(by_outcome)
+
+
+def test_verdicts_are_shared_per_slice_and_outcome(db):
+    owners, outcomes = {}, set()
+    for K, m, nprime in SHIPPED_SLICES:
+        outcomes |= _assert_verdicts_shared(
+            db, K, m, nprime, _shipped_lifts(db, K, m, nprime), owners)
+    for small_db, lifts in _small_slice_dbs():
+        outcomes |= _assert_verdicts_shared(small_db, "R", 5, 2, lifts, owners)
+    # all three outcomes occur, and some small slices return both verdicts
+    # with ∂x != 0, so a memo keyed by ∂x = 0 alone is caught
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_concurrent_first_calls_share_one_verdict(db):
+    # more threads than cores, switching often, each round on an emptied
+    # memo: a memo that stored a verdict without setdefault would hand two
+    # threads different objects for one outcome
+    K, m, nprime = SHIPPED_SLICES[0]
+    lifts = _shipped_lifts(db, K, m, nprime)
+    s = ProjectiveSlice.resolve(db, K, m, nprime, ())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            s._verdicts.clear()
+            barrier, results = threading.Barrier(6), []
+
+            def work():
+                barrier.wait(timeout=10)
+                results.extend(self_verdict(db, K, m, nprime, x) for x in lifts)
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == 6 * len(lifts)
+            assert len(set(map(id, results))) == len(s._verdicts)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 _MIXED_GROUPS = all_finite_groups(24, 2) + [
@@ -148,19 +217,29 @@ _MIXED_GROUPS = all_finite_groups(24, 2) + [
     FgAbGroup(1, (6,)), FgAbGroup(2, ())]
 
 
+def _assert_apply_agrees(rng, src, tgt):
+    h = random_well_defined_hom(rng, src, tgt)
+    for _ in range(5):
+        # unreduced coordinates name the same element, so they have the
+        # same image; a list would not equal the coords tuple
+        raw = [rng.randint(-30, 30) for _ in range(src.dim)]
+        x = src.element(raw)
+        assert h._apply(x.coords) == h(x).coords
+        assert h._apply(raw) == h(x).coords
+
+
 def test_apply_agrees_with_call():
     rng = random.Random(909)
     with_torsion = [g for g in _MIXED_GROUPS if g.torsion]
     for _ in range(300):
-        src, tgt = rng.choice(with_torsion), rng.choice(with_torsion)
-        h = random_well_defined_hom(rng, src, tgt)
-        for _ in range(5):
-            # unreduced coordinates name the same element, so they have the
-            # same image
-            raw = [rng.randint(-30, 30) for _ in range(src.dim)]
-            x = src.element(raw)
-            assert h._apply(x.coords) == h(x).coords
-            assert h._apply(raw) == h(x).coords
+        _assert_apply_agrees(rng, rng.choice(with_torsion),
+                             rng.choice(with_torsion))
+    # free-only and trivial groups, as the source and as the target of
+    # every group, so that _apply also runs with nothing to reduce
+    for free in (FgAbGroup(0, ()), FgAbGroup(1, ()), FgAbGroup(2, ())):
+        for other in _MIXED_GROUPS:
+            _assert_apply_agrees(rng, free, other)
+            _assert_apply_agrees(rng, other, free)
 
 
 def test_membership_agrees_with_brute_force_up_to_order_200():
@@ -193,10 +272,11 @@ def test_database_replaces_a_map_between_other_groups(db):
 
 @pytest.fixture
 def built(monkeypatch):
-    """Constructions of GroupElement, SpaceId and CoincidenceAnswer, and
-    Smith normal forms computed, from the time the fixture is set up."""
-    counts = dict.fromkeys(
-        ("GroupElement", "SpaceId", "CoincidenceAnswer", "_snf"), 0)
+    """Constructions of GroupElement, SpaceId, CoincidenceAnswer and
+    LoosenessVerdict, and Smith normal forms computed, from the time the
+    fixture is set up."""
+    counts = dict.fromkeys(("GroupElement", "SpaceId", "CoincidenceAnswer",
+                            "LoosenessVerdict", "_snf"), 0)
 
     def count(owner, attr, label):
         original = getattr(owner, attr)
@@ -206,7 +286,7 @@ def built(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, attr, wrapper)
 
-    for cls in (GroupElement, SpaceId, CoincidenceAnswer):
+    for cls in (GroupElement, SpaceId, CoincidenceAnswer, LoosenessVerdict):
         count(cls, "__init__", cls.__name__)
     count(fgab, "_snf", "_snf")
     return counts
@@ -249,19 +329,20 @@ def _warmed(built, fn, args):
     "self", "sphere loose", "sphere essential"])
 def test_a_warmed_query_builds_nothing(db, built, name):
     _warmed(built, *_query(db, name))
-    assert built == {"GroupElement": 0, "SpaceId": 0,
-                     "CoincidenceAnswer": 0, "_snf": 0}
+    assert built == {"GroupElement": 0, "SpaceId": 0, "CoincidenceAnswer": 0,
+                     "LoosenessVerdict": 0, "_snf": 0}
 
 
 def test_the_circle_builds_only_its_answer(db, built):
     answer = _warmed(built, *_query(db, "circle"))
     assert answer.triple == (3, 3, 3)
-    assert built == {"GroupElement": 0, "SpaceId": 0,
-                     "CoincidenceAnswer": 1, "_snf": 0}
+    assert built == {"GroupElement": 0, "SpaceId": 0, "CoincidenceAnswer": 1,
+                     "LoosenessVerdict": 0, "_snf": 0}
 
 
 def test_answers_are_shared(db):
-    for name in ("classify R", "classify H", "sphere loose", "sphere essential"):
+    for name in ("classify R", "classify H", "self", "sphere loose",
+                 "sphere essential"):
         fn, args = _query(db, name)
         assert fn(*args) is fn(*args)
 
