@@ -1,17 +1,18 @@
 """Command-line surface for the coincidence calculator.
 
-Subcommands: classify, self, sphere, spaceform, db-validate, db-show.
-Elements are entered as integer coordinate vectors relative to the
-database generators and echoed back (to the diagnostic stream) with the
-generator labels.  Answers go to stdout; diagnostics and errors go to
-stderr.  main loads the database and renders the answer that classify,
-self, sphere or spaceform returns; db-show prints its listing, and
-db-validate checks the text itself.  Each answer or verdict becomes one
-document (_document): --output machine prints it as JSON with the
-database version, and the text form (_text) reads the document alone.
-Exit codes: 0 success, 1 output that could not be written, 2 usage
-error, 3 insufficient database data, 4 database validation failure or
-database data that contradicts the classification, 130 interrupted.
+One table, COMMANDS, holds the subcommands and their options; one parser,
+_parse_strict, reads every argv by it or refuses it with a usage error, and
+-h or --help prints text rendered from it.  Elements are entered as integer
+coordinate vectors relative to the database generators and echoed back on
+stderr with the generator labels.  Answers go to stdout; diagnostics and
+errors go to stderr.  main loads the database and renders the answer that
+classify, self, sphere or spaceform returns; db-show prints its listing,
+and db-validate checks the text itself.  Each answer or verdict becomes one
+document (_document): --output machine prints it as JSON with the database
+version, and the text form (_text) reads the document alone.  Exit codes:
+0 success, 1 output that could not be written, 2 usage error, 3
+insufficient database data, 4 database validation failure or database
+data that contradicts the classification, 130 interrupted.
 
 console_main, the entry of the nielsencalc script and of python -m
 nielsencalc, ends the process with os._exit once main has returned and
@@ -24,7 +25,6 @@ from __future__ import annotations
 import os
 import sys
 from types import SimpleNamespace
-from typing import Optional
 
 from . import classifier, homotopy_db
 from .classifier import (
@@ -44,6 +44,8 @@ from .homotopy_db import (
     DatabaseError,
     InsufficientDataError,
     SpaceId,
+    _cut,
+    _digits,
 )
 from .selfcoincidence import LoosenessVerdict, self_verdict
 
@@ -57,7 +59,7 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # rendering
 
-def render(answer, mode: str, db_version: Optional[str]) -> str:
+def render(answer, mode: str, db_version: str | None) -> str:
     """Render a coincidence answer or a looseness verdict: its document
     as JSON with the database version, or as text."""
     doc = _document(answer)
@@ -142,27 +144,20 @@ def _text(doc: dict) -> str:
 # helpers
 
 def _int(text: str) -> int:     # as in a database: an optional '-', ASCII digits
-    if not homotopy_db._digits(text.strip().removeprefix("-")):
+    if not _digits(text.strip().removeprefix("-")):
         raise ValueError(text)
     return int(text)
-
-
-_int.__name__ = "int"       # the name argparse's message gives the type
-
-
-def _parse_coords(text: str, what: str) -> tuple[int, ...]:
-    try:
-        parts = text.split(",") if text.strip() != "" else []
-        return tuple(map(_int, parts))
-    except ValueError as exc:
-        raise UsageError(f"{what}: expected comma-separated integers, "
-                         f"got {homotopy_db._cut(text)!r}") from exc
 
 
 def _element(db: Database, space: SpaceId, m: int, text: str,
              what: str) -> GroupElement:
     group = db.require_group(space, m)
-    coords = _parse_coords(text, what)
+    try:
+        parts = text.split(",") if text.strip() else []
+        coords = tuple(map(_int, parts))
+    except ValueError as exc:
+        raise UsageError(f"{what}: expected comma-separated integers, "
+                         f"got {_cut(text)!r}") from exc
     try:
         return group.element(coords)
     except ValueError as exc:
@@ -249,8 +244,9 @@ def _cmd_db_show(db: Database, args) -> None:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-# command -> (handler, help, options); an option is (flag, keywords of
-# ArgumentParser.add_argument), and every command also takes _COMMON
+# command -> (handler, help, options); an option is (flag, spec), a spec
+# holds any of help, choices, default, required, type and metavar, and
+# every command also takes _COMMON
 _COMMON = (
     ("--db", {"help": "database file (default: $NIELSEN_DB or the shipped "
                       "database)"}),
@@ -281,79 +277,82 @@ COMMANDS = {
 }
 
 
-def _parse_strict(argv) -> Optional[SimpleNamespace]:
-    """What ``build_parser().parse_args(argv)`` returns, for an argv made of
-    a command and exact option names, each as --name=value or as --name
-    followed by a value that does not start with '-'.  None for any other
-    argv, which is left to argparse and its messages."""
-    if not argv or argv[0] not in COMMANDS:
-        return None
-    func, _, options = COMMANDS[argv[0]]
+_RULES = ("Write each option in full and once, as --name VALUE or --name=VALUE.\n"
+          "Join a VALUE that starts with '-' to its name, as --f1=-1,0, unless it\n"
+          "is a negative integer.")
+
+
+def _help(command: str | None) -> str:
+    """The text of -h or --help: of one command, or of nielsencalc for None."""
+    head = ["COMMAND", _RULES, "commands (COMMAND --help lists the options of one):"]
+    rows = [(name, text) for name, (_, text, _) in COMMANDS.items()]
+    if command is not None:
+        head, rows = [command, COMMANDS[command][1], "options:"], []
+        for flag, spec in _COMMON + COMMANDS[command][2]:
+            value = spec.get("metavar", flag[2:].upper())
+            if "choices" in spec:
+                value = "{" + ",".join(spec["choices"]) + "}"
+            notes = (spec.get("help"), "(required)" if spec.get("required") else None)
+            rows.append((f"{flag} {value}", " ".join(filter(None, notes))))
+    width = max(len(name) for name, _ in rows)
+    lines = [f"  {name:{width}}  {text}".rstrip() for name, text in rows]
+    return "\n".join([f"usage: nielsencalc {head[0]} [--OPTION VALUE]...", "",
+                      head[1], "", head[2], *lines])
+
+
+def _parse_strict(argv) -> SimpleNamespace | str:
+    """The arguments of argv, read by COMMANDS and _RULES, or the help text
+    when -h or --help stands where an option may, before any fault.  Raises
+    UsageError, with one message, on any other argv."""
+    command = argv[0] if argv else None
+    if command not in COMMANDS:
+        if command in ("-h", "--help"):
+            return _help(None)
+        got = f", got {_cut(command)!r}" if argv else ""
+        raise UsageError(f"expected a command ({', '.join(COMMANDS)}){got}")
+    func, _, options = COMMANDS[command]
     specs = dict(_COMMON + options)
     values = {}
     tokens = iter(argv[1:])
     for token in tokens:
         flag, eq, value = token.partition("=")
         if flag not in specs:
-            return None
+            if token in ("-h", "--help"):
+                return _help(command)
+            raise UsageError(f"unknown option {_cut(flag)!r} for {command}")
+        if flag in values:
+            raise UsageError(f"argument {flag}: given more than once")
         if not eq:
-            value = next(tokens, "-")
-            if value.startswith("-"):
-                return None
-        elif value == "--":     # argparse drops it and stores []
-            return None
+            value = next(tokens, "-")       # '-', which is no value, at the end
+        # '--' is no value, and a separate one starts with '-' only as an integer
+        if value.startswith("-") and (value == "--" if eq else not _digits(value[1:])):
+            raise UsageError(f"argument {flag}: expected one argument")
         spec = specs[flag]
         try:
             value = spec.get("type", str)(value)
         except ValueError:
-            return None
+            raise UsageError(f"argument {flag}: invalid int value: "
+                             f"{_cut(value)!r}") from None
         if "choices" in spec and value not in spec["choices"]:
-            return None
+            raise UsageError(f"argument {flag}: invalid choice: {_cut(value)!r} "
+                             f"(choose from {', '.join(spec['choices'])})")
         values[flag] = value
-    args = SimpleNamespace(command=argv[0], func=func)
+    args = SimpleNamespace(command=command, func=func)
     for flag, spec in specs.items():
         if flag not in values and spec.get("required"):
-            return None
+            missing = [f for f in specs if f not in values and specs[f].get("required")]
+            raise UsageError(f"missing required options: {', '.join(missing)}")
         setattr(args, flag[2:].replace("-", "_"),
                 values.get(flag, spec.get("default")))
     return args
 
 
-def build_parser() -> "argparse.ArgumentParser":
-    import argparse     # here, so that a well-formed call does not load it
-
-    class Parser(argparse.ArgumentParser):      # its subparsers inherit it
-        def error(self, message):
-            super().error(" ".join(map(homotopy_db._cut, message.split(" "))))
-
-    parser = Parser(
-        prog="nielsencalc",
-        description="Exact Nielsen and minimum coincidence numbers for maps "
-                    "from spheres into projective spaces, spheres, and "
-                    "spherical space forms.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, help_text, options) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        for flag, spec in _COMMON + options:
-            p.add_argument(flag, **spec)
-        p.set_defaults(func=func)
-    return parser
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_strict(argv)
-    if args is None:
-        parser = build_parser()
-        try:
-            args = parser.parse_args(argv)
-            bad = [dest for dest, value in vars(args).items() if value == []]
-            if bad:     # argparse drops the value of --name=-- and stores []
-                flag = "--" + bad[0].replace("_", "-")
-                parser.error(f"argument {flag}: expected one argument")
-        except SystemExit as exc:
-            return 0 if exc.code in (0, None) else 2
     try:
+        args = _parse_strict(sys.argv[1:] if argv is None else list(argv))
+        if isinstance(args, str):       # the text of -h or --help
+            print(args)
+            return 0
         path = args.db or os.environ.get("NIELSEN_DB")  # else the shipped one
         if path:
             text, origin = homotopy_db.read_db_text(path), str(path)

@@ -188,7 +188,7 @@ class HomRef(Frozen, defaults={"source": None, "target": None}):
         if name not in HOM_NAMES:
             raise ValueError(f"unknown homomorphism name {_cut(name)!r}")
         if not rest:
-            return cls(name)
+            return cls(name, None, None)
         src_text, arrow, tgt_text = rest.partition("->")
         if not arrow:
             raise ValueError(f"qualified hom reference {_cut(token)!r} needs '->'")

@@ -6,6 +6,8 @@ share no code with the lattice machinery they check.  reference_snf,
 reference_exact_at and reference_table_conditions are frozen earlier
 algorithms instead, which faster code must agree with; the last two rely
 on kernel and in_image, which the enumeration oracles check.
+reference_cli reads a nielsencalc argv by the command-line grammar
+written out a second time, apart from the program's option table.
 """
 
 from __future__ import annotations
@@ -676,3 +678,70 @@ def reference_check(text: str, origin: str = "<string>"):
     if problems:
         return None, violations + problems
     return _build(parsed), violations
+
+
+# ---------------------------------------------------------------------------
+# the nielsencalc command line, written out apart from cli.COMMANDS: each
+# option of each command with its values (a tuple of choices, int or str),
+# whether it is required, and its default.  reference_cli reads an argv by
+# it, token by token, with regular expressions for the integers.
+
+_CLI_COMMON = {"--db": (str, False, None),
+               "--output": (("text", "machine"), False, "text")}
+_CLI_SLICE = {"--K": (("R", "C", "H"), True, None), "--m": (int, True, None),
+              "--nprime": (int, True, None)}
+_CLI_PAIR = {"--f1": (str, True, None), "--f2": (str, True, None)}
+CLI_GRAMMAR = {
+    "classify": {**_CLI_SLICE, **_CLI_PAIR, "--residue1": (str, False, None),
+                 "--residue2": (str, False, None)},
+    "self": {**_CLI_SLICE, "--f": (str, True, None)},
+    "sphere": {"--m": (int, True, None), "--n": (int, True, None), **_CLI_PAIR},
+    "spaceform": {"--order": (int, True, None), "--n": (int, True, None),
+                  "--homotopic": (("true", "false"), True, None)},
+    "db-validate": {},
+    "db-show": {},
+}
+
+
+def reference_cli(argv: Sequence[str]):
+    """What the nielsencalc grammar makes of argv: ("help", None) for the
+    help of nielsencalc, ("help", command) for the help of a command,
+    ("args", namespace) for a call, and None for an argv it refuses.  The
+    first help token or fault, left to right, decides.  A name is matched
+    whole and given once; a value is joined by '=' and is not '--', or is
+    the next token, which starts with '-' only as a negative integer."""
+    if argv and argv[0] in ("-h", "--help"):
+        return ("help", None)
+    if not argv or argv[0] not in CLI_GRAMMAR:
+        return None
+    options = {**_CLI_COMMON, **CLI_GRAMMAR[argv[0]]}
+    given = {}
+    rest = list(argv[1:])
+    while rest:
+        token = rest.pop(0)
+        if token in ("-h", "--help"):
+            return ("help", argv[0])
+        if "=" in token:
+            name, value = token.split("=", 1)
+            if value == "--":
+                return None
+        elif rest and re.fullmatch(r"[^-].*|-[0-9]+|", rest[0], re.DOTALL):
+            name, value = token, rest.pop(0)
+        else:
+            return None
+        if name not in options or name in given:
+            return None
+        kind = options[name][0]
+        if kind is int:
+            if not re.fullmatch(r"-?[0-9]+", value.strip()):
+                return None
+            value = int(value)
+        elif kind is not str and value not in kind:
+            return None
+        given[name] = value
+    if any(required and name not in given
+           for name, (_, required, _) in options.items()):
+        return None
+    return ("args", {"command": argv[0],
+                     **{name[2:]: given.get(name, default)
+                        for name, (_, _, default) in options.items()}})

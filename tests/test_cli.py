@@ -11,13 +11,14 @@ from pathlib import Path
 import pytest
 
 import nielsencalc
+import oracles
 from nielsencalc import cli, homotopy_db
 from nielsencalc.cli import main
 from test_golden_cli import (
     ANSWER_COMMANDS,
-    ARGPARSE_COMMANDS,
-    COLUMNS,
+    COMMANDS as GOLDEN_COMMANDS,
     ERROR_COMMANDS,
+    GRAMMAR_COMMANDS,
     README_COMMANDS,
     _expected,
     _write_databases,
@@ -143,8 +144,8 @@ def test_sphere_takes_no_antipodal_override(capsys):
     # whether f1 ~ A∘f2 is read from the database alone
     code, out, err = run(capsys, "sphere", "--m", "11", "--n", "6",
                          "--f1", "1", "--f2", "0", "--antipodal", "yes")
-    assert (code, out) == (2, "")
-    assert "unrecognized arguments: --antipodal yes" in err
+    assert (code, out, err) == (
+        2, "", "usage error: unknown option '--antipodal' for sphere\n")
 
 
 def test_spaceform_subcommand(capsys):
@@ -330,8 +331,7 @@ def test_an_integer_is_read_by_the_database_rule(flag, value):
         assert err.endswith(f"usage error: {flag[2:]}: expected "
                             f"comma-separated integers, got {value!r}\n")
     else:
-        assert err.endswith(f"error: argument {flag}: invalid int value: "
-                            f"{value!r}\n")
+        assert err == f"usage error: argument {flag}: invalid int value: {value!r}\n"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -366,17 +366,21 @@ def test_a_usage_error_quotes_at_most_40_characters_of_an_argument(
 LONG_WORD = "9" * 5000
 
 
-@pytest.mark.parametrize("argv", [
-    ("sphere", "--m", "11", "--n", "6", "--f1", "1", "--f2", "0",
-     "--bogus", LONG_WORD),
-    ("sphere", "--m", LONG_WORD, "--n", "6", "--f1", "1", "--f2", "0"),
-    ("classify", "--K", "X" * 5000, "--m", "11", "--nprime", "6",
-     "--f1", "1", "--f2", "1"),
+@pytest.mark.parametrize("argv,message", [
+    ((LONG_WORD,), "expected a command (classify, self, sphere, spaceform, "
+     "db-validate, db-show), got '" + "9" * 40 + "…[5000 characters]'"),
+    (("sphere", "--m", "11", "--n", "6", "--f1", "1", "--f2", "0",
+      "--" + LONG_WORD), "unknown option '--" + "9" * 38
+     + "…[5002 characters]' for sphere"),
+    (("sphere", "--m", LONG_WORD, "--n", "6", "--f1", "1", "--f2", "0"),
+     "argument --m: invalid int value: '" + "9" * 40 + "…[5000 characters]'"),
+    (("classify", "--K", "X" * 5000, "--m", "11", "--nprime", "6",
+      "--f1", "1", "--f2", "1"),
+     "argument --K: invalid choice: '" + "X" * 40
+     + "…[5000 characters]' (choose from R, C, H)"),
 ])
-def test_an_argparse_error_cuts_long_arguments(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert len(err.encode()) < 1000 and "…[50" in err
+def test_a_parse_error_cuts_long_arguments(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
 
 
 def test_insufficient_data_exit_3(capsys):
@@ -540,7 +544,7 @@ print(json.dumps([before, [atexit._ncallbacks(), threading.active_count()], code
 
 def test_a_call_leaves_no_atexit_hook_or_thread_that_os_exit_would_skip():
     argvs = [README_COMMANDS[0], README_COMMANDS[0] + ["--output", "machine"],
-             ["db-show"], ARGPARSE_COMMANDS[2]]
+             ["db-show"], GRAMMAR_COMMANDS[2]]
     proc = _child("-c", _NOTHING_LEFT_FOR_EXIT % (argvs,))
     assert proc.returncode == 0, proc.stderr
     before, after, codes = json.loads(proc.stdout)
@@ -610,7 +614,7 @@ def test_every_entry_point_goes_through_console_main():
 
 CONSOLE_COMMANDS = ([argv + ["--output", mode] for argv in README_COMMANDS
                      for mode in ("text", "machine")]
-                    + ERROR_COMMANDS + ARGPARSE_COMMANDS)
+                    + ERROR_COMMANDS + GRAMMAR_COMMANDS)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True],
@@ -620,7 +624,6 @@ def test_console_entry_writes_the_golden_transcript(argv, unbuffered, tmp_path,
                                                     monkeypatch):
     # exits 0, 2, 3 and 4 each flush their output before os._exit
     monkeypatch.delenv("NIELSEN_DB", raising=False)
-    monkeypatch.setenv("COLUMNS", COLUMNS)
     monkeypatch.chdir(tmp_path)
     _write_databases(tmp_path)
     proc = _child("-m", "nielsencalc", *argv, text=False, unbuffered=unbuffered)
@@ -670,26 +673,35 @@ def test_json_is_imported_for_machine_output_only():
     assert proc.stdout.strip() == "[False, False, False, True]"
 
 
-_ARGPARSE_ON_DEMAND = """
+_NO_ARGPARSE = """
 import contextlib, io, sys
 seen = ["argparse" in sys.modules]
 from nielsencalc.cli import main
-argv = ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "1", "--f2", "1"]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    for call in (argv, ["--help"]):
-        assert main(call) == 0
-        seen.append("argparse" in sys.modules)
-print(seen)
+    codes = [main(argv) for argv in %r]
+seen.append("argparse" in sys.modules)
+print(seen, codes)
 """
 
+# usage errors that no golden entry shows: a missing value, '--' as a
+# value, a missing required option and an unjoined value that starts with '-'
+PARSE_FAULTS = [["self", "--K"], ["db-validate", "--db=--"],
+                ["sphere", "--m", "11", "--n", "6", "--f1", "1"],
+                ["sphere", "--m", "11", "--n", "6", "--f1", "-1,0", "--f2", "0"]]
 
-def test_argparse_is_imported_for_help_only():
-    proc = _child("-c", _ARGPARSE_ON_DEMAND)
+
+def test_no_call_imports_argparse(tmp_path, monkeypatch):
+    # every golden argv (answers, each --help and every usage error there)
+    # and the faults above, in one process
+    monkeypatch.delenv("NIELSEN_DB", raising=False)
+    _write_databases(tmp_path)
+    argvs = GOLDEN_COMMANDS + PARSE_FAULTS
+    proc = _child("-c", _NO_ARGPARSE % (argvs,), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     if proc.stdout.startswith("[True"):
         pytest.skip("this interpreter loads argparse before the package")
-    # before the import, after a text classify and after --help
-    assert proc.stdout.strip() == "[False, False, True]"
+    codes = [_expected()[tuple(argv)]["exit"] for argv in GOLDEN_COMMANDS]
+    assert proc.stdout.strip() == f"[False, False] {codes + [2] * len(PARSE_FAULTS)}"
 
 
 _NO_REGEX = """
@@ -712,7 +724,7 @@ def test_import_load_and_text_commands_compile_no_regular_expression():
 
 
 # ---------------------------------------------------------------------------
-# the strict parser against argparse
+# the parser
 
 # the cli_session command mix of the benchmark (bench/workloads.py)
 BENCH_COMMANDS = [
@@ -735,11 +747,19 @@ BENCH_COMMANDS = [
 ]
 
 
+NAMESPACES = Path(__file__).parent / "golden" / "cli_namespaces.json"
+
+
 def test_strict_parser_takes_the_documented_and_benchmarked_calls():
-    for argv in README_COMMANDS + ERROR_COMMANDS + BENCH_COMMANDS:
-        args = cli._parse_strict(argv)
-        assert args is not None, argv
-        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+    # each namespace as recorded from the argparse parser that the CLI had
+    # before this parser was its only one, with the handler by name
+    recorded = json.loads(NAMESPACES.read_text(encoding="utf-8"))
+    argvs = README_COMMANDS + ERROR_COMMANDS + BENCH_COMMANDS
+    assert [entry["argv"] for entry in recorded] == list(
+        map(list, dict.fromkeys(map(tuple, argvs))))
+    for entry in recorded:
+        args = vars(cli._parse_strict(entry["argv"]))
+        assert {**args, "func": args["func"].__name__} == entry["namespace"]
 
 
 def _outcome(argv):
@@ -749,16 +769,17 @@ def _outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("joined", [True, False], ids=["joined", "separate"])
 @pytest.mark.parametrize("option", ["--m", "--K", "--f1", "--db", "--output",
                                     "--residue1"])
-def test_option_given_as_double_dash_is_a_usage_error(option):
-    # argparse drops the value of --name=-- and stores []
+def test_option_given_as_double_dash_is_a_usage_error(option, joined):
     argv = ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "1",
-            "--f2", "1", f"{option}=--"]
-    code, out, err = _outcome(argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("usage: nielsencalc")
-    assert err.endswith(f"error: argument {option}: expected one argument\n")
+            "--f2", "1"]
+    if option in argv:
+        del argv[argv.index(option):argv.index(option) + 2]
+    argv += [f"{option}=--"] if joined else [option, "--"]
+    assert _outcome(argv) == (
+        2, "", f"usage error: argument {option}: expected one argument\n")
 
 
 _GOOD_INTS = ("0", "1", "2", "5", "6", "11")
@@ -768,7 +789,7 @@ _BAD = ("", "X", " 7 ", "+3", "\u0665", "-1", "-", "--", "--x", "-h", "a=b",
 _JUNK = ("-h", "--help", "--", "junk", "--nprim", "--f", "-1")
 
 
-def test_strict_parser_agrees_with_argparse(tmp_path, monkeypatch):
+def test_parser_agrees_with_the_reference_grammar(tmp_path, monkeypatch):
     pytest.importorskip("hypothesis")
     from hypothesis import example, given, settings, strategies as st
 
@@ -783,19 +804,24 @@ def test_strict_parser_agrees_with_argparse(tmp_path, monkeypatch):
     @st.composite
     def argvs(draw):
         # a well-formed call, then up to two faults: a bad value, an
-        # abbreviated name, a missing option or a stray token
+        # abbreviated name, a missing option, a repeated option or a stray
+        # token
         command = draw(st.sampled_from([*cli.COMMANDS] * 3 + ["--help", "-h", "clasify"]))
         options = cli.COMMANDS[command][2] if command in cli.COMMANDS else ()
         pairs = [[flag, draw(st.sampled_from(good(spec)))]
                  for flag, spec in cli._COMMON + options
-                 for _ in range(draw(st.integers(bool(spec.get("required")), 2)))]
+                 if draw(st.integers(bool(spec.get("required")), 1))]
         strays = []
         for _ in range(draw(st.sampled_from((0, 1, 1, 2)))):
-            fault = draw(st.sampled_from(("value", "name", "drop", "stray")))
+            fault = draw(st.sampled_from(("value", "name", "drop", "repeat", "stray")))
             if fault == "stray" or not pairs:
                 strays.append([draw(st.sampled_from(_JUNK))])
             elif fault == "drop":
                 pairs.pop(draw(st.integers(0, len(pairs) - 1)))
+            elif fault == "repeat":
+                flag = draw(st.sampled_from(pairs))[0]
+                spec = dict(cli._COMMON + options).get(flag, {})
+                pairs.append([flag, draw(st.sampled_from(good(spec)))])
             else:
                 pair = draw(st.sampled_from(pairs))
                 if fault == "value":
@@ -812,18 +838,21 @@ def test_strict_parser_agrees_with_argparse(tmp_path, monkeypatch):
     @example(["db-validate", "--db=--"])
     @example(["db-show", "--output", "X", "--output", "text"])
     @example(["self", "--K", "R", "--m", "11", "--nprime", "6", "--f", "-h"])
+    @example(["self", "--K", "R", "--m", "11", "--nprime", "6", "--f", "1",
+              "--m", "11"])
+    @example([])
     def check(argv):
-        strict = cli._parse_strict(argv)
-        if strict is not None:
-            try:
-                expected = vars(cli.build_parser().parse_args(argv))
-            except SystemExit:
-                expected = "rejected by argparse"
-            assert vars(strict) == expected
+        expected = oracles.reference_cli(argv)
+        if expected is None:
+            with pytest.raises(cli.UsageError):
+                cli._parse_strict(argv)
+            code, out, err = _outcome(argv)
+            assert (code, out, err.count("\n")) == (2, "", 1)
+            assert err.startswith("usage error: ")
+        elif expected[0] == "help":
+            assert _outcome(argv) == (0, cli._help(expected[1]) + "\n", "")
         else:
-            outcome = _outcome(argv)
-            with monkeypatch.context() as patch:
-                patch.setattr(cli, "_parse_strict", lambda argv: None)
-                assert outcome == _outcome(argv)
+            args = vars(cli._parse_strict(argv))
+            assert args == {**expected[1], "func": cli.COMMANDS[argv[0]][0]}
 
     check()

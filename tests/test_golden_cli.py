@@ -96,22 +96,30 @@ ERROR_COMMANDS = [
      "--db", "missing.nielsendb"],
 ]
 
-# help, a bad choice, an abbreviated option name, a negative value in its
-# own token and an unknown option: the argv that main() leaves to argparse
-ARGPARSE_COMMANDS = [
+# the grammar of an argv: the help of nielsencalc and of each command, a
+# bad choice, an abbreviated option name, a negative value in its own
+# token, an unknown option, a repeated option, an unknown command and no
+# command at all
+GRAMMAR_COMMANDS = [
     ["--help"],
     ["classify", "--help"],
     ["classify", "--K", "X", "--m", "11", "--nprime", "6", "--f1", "1", "--f2", "1"],
     ["classify", "--K", "R", "--m", "11", "--nprim", "6", "--f1", "1", "--f2", "1"],
     ["classify", "--K", "R", "--m", "6", "--nprime", "6", "--f1", "1", "--f2", "-1"],
     ["sphere", "--m", "11", "--n", "6", "--f1", "1", "--f2", "0", "--antipodal", "yes"],
+    ["self", "--help"],
+    ["sphere", "--help"],
+    ["spaceform", "--help"],
+    ["db-validate", "--help"],
+    ["db-show", "--help"],
+    ["classify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "1", "--f2", "1",
+     "--f1", "2"],
+    ["clasify", "--K", "R", "--m", "11", "--nprime", "6", "--f1", "1", "--f2", "1"],
+    [],
 ]
 
 COMMANDS = ([argv + ["--output", mode] for argv in README_COMMANDS + ANSWER_COMMANDS
-             for mode in ("text", "machine")] + ERROR_COMMANDS + ARGPARSE_COMMANDS)
-
-# argparse wraps its help text to the terminal width
-COLUMNS = "80"
+             for mode in ("text", "machine")] + ERROR_COMMANDS + GRAMMAR_COMMANDS)
 
 # identity antipodal action on pi_6(S^6), where it must negate degree
 INCONSISTENT_DB = (
@@ -172,7 +180,6 @@ def test_golden_covers_every_command():
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_golden_cli(argv, tmp_path, monkeypatch):
     monkeypatch.delenv("NIELSEN_DB", raising=False)
-    monkeypatch.setenv("COLUMNS", COLUMNS)
     monkeypatch.chdir(tmp_path)
     _write_databases(tmp_path)
     assert _run(argv) == _expected()[tuple(argv)]
@@ -183,7 +190,6 @@ def _record() -> int:
     Returns 1, writing nothing, when an entry already in the file no
     longer matches its result."""
     os.environ.pop("NIELSEN_DB", None)
-    os.environ["COLUMNS"] = COLUMNS
     entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
     expected = {tuple(entry["argv"]): entry for entry in entries}
     here = os.getcwd()
