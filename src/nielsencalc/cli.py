@@ -245,31 +245,30 @@ def _cmd_db_show(db: Database, args) -> None:
 # argument parsing
 
 # command -> (handler, help, options); an option is (flag, spec), a spec
-# holds any of help, choices, default, required, type and metavar, and
-# every command also takes _COMMON
-_COMMON = (
-    ("--db", {"help": "database file (default: $NIELSEN_DB or the shipped "
-                      "database)"}),
-    ("--output", {"choices": ("text", "machine"), "default": "text",
-                  "help": "answer format"}))
+# holds any of help, choices, default, required, type and metavar, every
+# command also takes _COMMON, and the four answer commands _OUTPUT first
+_COMMON = (("--db", {"help": "database file (default: $NIELSEN_DB or the "
+                             "shipped database)"}),)
+_OUTPUT = ("--output", {"choices": ("text", "machine"), "default": "text",
+                        "help": "answer format"})
 _K = ("--K", {"required": True, "choices": ("R", "C", "H")})
 _INT = {"type": _int, "required": True}
 _M, _NPRIME = ("--m", _INT), ("--nprime", _INT)
 _COORDS = {"required": True, "metavar": "COORDS"}
 COMMANDS = {
     "classify": (_cmd_classify, "seven-case classification for S^m -> KP(n')", (
-        _K, _M, _NPRIME,
+        _OUTPUT, _K, _M, _NPRIME,
         ("--f1", {**_COORDS, "help": "lift coordinates of the first class"}),
         ("--f2", _COORDS),
         ("--residue1", {"metavar": "COORDS"}),
         ("--residue2", {"metavar": "COORDS"}))),
     "self": (_cmd_self, "looseness verdict for a self-pair (f,f)", (
-        _K, _M, _NPRIME, ("--f", _COORDS))),
+        _OUTPUT, _K, _M, _NPRIME, ("--f", _COORDS))),
     "sphere": (_cmd_sphere, "coincidence numbers for S^m -> S^n", (
-        _M, ("--n", _INT), ("--f1", _COORDS), ("--f2", _COORDS))),
+        _OUTPUT, _M, ("--n", _INT), ("--f1", _COORDS), ("--f2", _COORDS))),
     "spaceform": (_cmd_spaceform,
                   "counts for maps into a spherical space form S^n/G", (
-        ("--order", {**_INT, "help": "order of the deck group G"}),
+        _OUTPUT, ("--order", {**_INT, "help": "order of the deck group G"}),
         ("--n", _INT),
         ("--homotopic", {"choices": ("true", "false"), "required": True}))),
     "db-validate": (_cmd_db_validate, "validate a database file", ()),

@@ -14,7 +14,7 @@ column per torsion relation of their targets.  Each homomorphism caches
 one SNF of its own, with only the transforms asked for.  An onto map's
 image type is its target, read off D.  exact_at compares invariant
 factors, which suffices because f.g. abelian groups are Hopfian, and
-tests the composite column by column without building it.
+tests the composite row by row without building it.
 A query that holds canonical coordinates needs no GroupElement:
 Homomorphism._apply maps them to canonical target coordinates and
 _image_contains tests them against im(h), neither checking its input.
@@ -77,10 +77,10 @@ def _snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int,
     and V is None unless want_v; the pivots and D do not depend on them,
     so a caller asks only for the transforms it reads.
 
-    Step t works on the active block, rows and columns t onwards: a row
-    operation updates row[t:], a column operation only the rows with a
-    nonzero column-t entry.  V is built as the list of its columns, so
-    that a column operation updates one list.
+    Step t works on the active block, rows and columns t onwards, adding
+    on only nonzero entries of the pivot row, u[t] and vt[t] (transforms
+    start as identity rows and stay sparse); a column operation updates
+    only the rows with a nonzero column-t entry, and one list of V.
     floor, the last pivot that finished a step (1 before the first),
     divides the active block: its step ended on a block divisible by it,
     and row and column operations keep that.  So the search stops at the
@@ -118,32 +118,36 @@ def _snf(matrix: Sequence[Sequence[int]], nrows: int, ncols: int,
         pivot_row = a[t]
         p = pivot_row[t]
         # clear below and to the right of the pivot; a nonzero remainder
-        # becomes a strictly smaller pivot on the next pass.  (Index loops
-        # beat list comprehensions on rows of up to ~32 entries.)
+        # becomes a strictly smaller pivot on the next pass.  No loop writes
+        # what it reads of row t, u[t] or vt[t], so their nonzero places are
+        # listed once.  (Index loops beat list comprehensions on short rows.)
+        cols = [j for j in range(t, ncols) if pivot_row[j]]
         active = [pivot_row]      # the rows with a nonzero column-t entry
-        ut = u[t] if want_u else None
+        ut = u[t] if want_u else ()
+        ucols = [j for j, x in enumerate(ut) if x]
         for i in range(t + 1, nrows):
             row = a[i]
             if row[t]:
                 q = row[t] // p
                 if q:
-                    for j in range(t, ncols):
+                    for j in cols:
                         row[j] -= q * pivot_row[j]
                     if want_u:
                         ui = u[i]
-                        for j in range(nrows):
+                        for j in ucols:
                             ui[j] -= q * ut[j]
                 if row[t]:
                     active.append(row)
-        vtt = vt[t] if want_v else None
-        for j in range(t + 1, ncols):
+        vtt = vt[t] if want_v else ()
+        vcols = [i for i, x in enumerate(vtt) if x]
+        for j in cols[1:]:
             q = pivot_row[j] // p
             if q:
                 for row in active:
                     row[j] -= q * row[t]
                 if want_v:
                     col = vt[j]
-                    for i in range(ncols):
+                    for i in vcols:
                         col[i] -= q * vtt[i]
         if len(active) > 1 or any(pivot_row[t + 1:]):
             continue
@@ -176,9 +180,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
-    for row in matrix:
-        if len(row) != ncols:
-            raise ValueError("matrix rows have unequal lengths")
+    if len(set(map(len, matrix))) > 1:
+        raise ValueError("matrix rows have unequal lengths")
     if not _ints(chain.from_iterable(matrix)):
         raise ValueError("matrix entries must be integers")
     u, d, vcols, _ = _snf(matrix, nrows, ncols, want_u=True, want_v=True)
@@ -462,10 +465,8 @@ def _assembly(ambient: FgAbGroup,
 
 
 def _normalize_gen(coords: Sequence[int]) -> list[int]:
-    for c in coords:
-        if c != 0:
-            return [-x for x in coords] if c < 0 else list(coords)
-    return list(coords)
+    first = next(filter(None, coords), 0)
+    return [-x for x in coords] if first < 0 else list(coords)
 
 
 def _kernel_lattice(h: Homomorphism) -> list[list[int]]:
@@ -554,9 +555,16 @@ def exact_at(left: Homomorphism, right: Homomorphism) -> bool:
     """
     if left.target != right.source:
         raise ValueError("shape mismatch: left.target must equal right.source")
-    # the composite, one column at a time: the first nonzero one decides
-    if any(map(any, map(right._apply, zip(*left.matrix)))):
-        return False
+    # the composite row by row, mod d on a torsion row d: the first nonzero decides
+    n, target = left.source.dim, right.target
+    for row, d in zip(right.matrix, (0,) * target.free_rank + target.torsion):
+        acc = [0] * n
+        for c, left_row in zip(row, left.matrix):
+            if c:
+                for j in range(n):
+                    acc[j] += c * left_row[j]
+        if any(x % d for x in acc) if d else any(acc):
+            return False
     _, d, _, rank, nrows, _ = left._augmented(want_u=False, want_v=False)
     coker = FgAbGroup(nrows - rank,
                       tuple(d[i][i] for i in range(rank) if d[i][i] >= 2))

@@ -413,8 +413,16 @@ _SHAPE = str.maketrans({**dict.fromkeys(map(chr, range(128)), "x"),
                         **dict.fromkeys("123456789", "1")})
 
 
+class _Ints(dict):      # int(key), looked up for the keys '-99' to '99'
+    __missing__ = staticmethod(int)     # and int()'s value or error past them
+
+
+_SMALL_INTS = _Ints({str(i): i for i in range(-99, 100)})
+
+
 def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
-    """The rows of a matrix literal, given with its outer brackets."""
+    """The rows of a matrix literal, given with its outer brackets.  Items
+    are read from _SMALL_INTS, and by int() when the table lacks them."""
     inner = text[1:-1].strip(" \t")
     if inner and inner[0] + inner[-1] != "[]":
         raise ValueError(_BAD_MATRIX)
@@ -434,7 +442,7 @@ def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
     rows = []
     for body in bodies:
         try:
-            rows.append(tuple(map(int, body.split(","))))
+            rows.append(tuple(map(_SMALL_INTS.__getitem__, body.split(","))))
         except ValueError:
             if body.strip(" \t"):     # a row of blanks is an empty row
                 raise ValueError(_BAD_MATRIX) from None

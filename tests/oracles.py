@@ -686,17 +686,20 @@ def reference_check(text: str, origin: str = "<string>"):
 # whether it is required, and its default.  reference_cli reads an argv by
 # it, token by token, with regular expressions for the integers.
 
-_CLI_COMMON = {"--db": (str, False, None),
-               "--output": (("text", "machine"), False, "text")}
+_CLI_COMMON = {"--db": (str, False, None)}
+# an answer command's format; db-validate and db-show print one text only
+_CLI_OUTPUT = {"--output": (("text", "machine"), False, "text")}
 _CLI_SLICE = {"--K": (("R", "C", "H"), True, None), "--m": (int, True, None),
               "--nprime": (int, True, None)}
 _CLI_PAIR = {"--f1": (str, True, None), "--f2": (str, True, None)}
 CLI_GRAMMAR = {
-    "classify": {**_CLI_SLICE, **_CLI_PAIR, "--residue1": (str, False, None),
-                 "--residue2": (str, False, None)},
-    "self": {**_CLI_SLICE, "--f": (str, True, None)},
-    "sphere": {"--m": (int, True, None), "--n": (int, True, None), **_CLI_PAIR},
-    "spaceform": {"--order": (int, True, None), "--n": (int, True, None),
+    "classify": {**_CLI_OUTPUT, **_CLI_SLICE, **_CLI_PAIR,
+                 "--residue1": (str, False, None), "--residue2": (str, False, None)},
+    "self": {**_CLI_OUTPUT, **_CLI_SLICE, "--f": (str, True, None)},
+    "sphere": {**_CLI_OUTPUT, "--m": (int, True, None), "--n": (int, True, None),
+               **_CLI_PAIR},
+    "spaceform": {**_CLI_OUTPUT, "--order": (int, True, None),
+                  "--n": (int, True, None),
                   "--homotopic": (("true", "false"), True, None)},
     "db-validate": {},
     "db-show": {},

@@ -188,6 +188,8 @@ def _literal_database(literal):
 @example(_literal_database("[[1,]]"))
 @example(_literal_database("[[]]"))
 @example(_literal_database("[[10,-0]]"))
+# items outside the table of '-99' to '99' that int() still reads
+@example(_literal_database("[[100,-0],[ 7,\t-3]]"))
 # blanks read as the start of a number, rows of blanks, and a blank inside one
 @example(_literal_database("[[ 01]]"))
 @example(_literal_database("[[1,\t01]]"))

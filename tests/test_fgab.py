@@ -383,6 +383,49 @@ def test_exact_at_negative_control():
     assert not exact_at(left, right)
 
 
+# exact_at sums, for each row of the right map, the rows of the left map
+# that the row picks, and reads the sum mod d on a torsion row d
+
+def test_exact_at_composite_that_is_a_multiple_of_the_torsion_factors():
+    # Z --2--> Z --(1,2)--> Z_2 x Z_4: the composite rows sum to 2 and 4,
+    # zero mod 2 and mod 4 but not as integers, and im = 2Z = ker
+    left = Homomorphism(Z, Z, [[2]])
+    right = Homomorphism(Z, FgAbGroup(0, (2, 4)), [[1], [2]])
+    assert exact_at(left, right) and reference_exact_at(left, right)
+    # Z --2--> Z --3--> Z_6: a sum of 6, zero mod 6, and im = 2Z = ker
+    left, right = Homomorphism(Z, Z, [[2]]), Homomorphism(Z, Z6, [[3]])
+    assert exact_at(left, right) and reference_exact_at(left, right)
+
+
+def test_exact_at_composite_nonzero_on_one_torsion_row_only():
+    # Z --(1,0)--> Z_2 x Z_2 --(0,0 / 1,0)--> Z x Z_2: the free row of the
+    # composite is zero and the torsion row is 1.  coker(left) = Z_2 is
+    # the type of im(right), so only the composite tells this pair apart.
+    middle = FgAbGroup(0, (2, 2))
+    left = Homomorphism(Z, middle, [[1], [0]])
+    right = Homomorphism(middle, FgAbGroup(1, (2,)), [[0, 0], [1, 0]])
+    assert compose(right, left).matrix == ((0,), (1,))
+    assert not exact_at(left, right)
+    assert not reference_exact_at(left, right)
+
+
+@pytest.mark.parametrize("left,right,expected", [
+    # a zero-dimensional left source: exact where right is injective
+    (zero_hom(TRIVIAL, FgAbGroup(1, (2,))), identity_hom(FgAbGroup(1, (2,))), True),
+    (zero_hom(TRIVIAL, Z), Homomorphism(Z, Z, [[3]]), True),
+    (zero_hom(TRIVIAL, Z4), Homomorphism(Z4, Z2, [[1]]), False),
+    # a zero-dimensional right target: exact where left is onto
+    (Homomorphism(Z, Z2, [[1]]), zero_hom(Z2, TRIVIAL), True),
+    (Homomorphism(Z, Z, [[2]]), zero_hom(Z, TRIVIAL), False),
+    (Homomorphism(FgAbGroup(2, ()), Z6, [[2, 3]]), zero_hom(Z6, TRIVIAL), True),
+    # both
+    (zero_hom(TRIVIAL, TRIVIAL), zero_hom(TRIVIAL, TRIVIAL), True),
+    (zero_hom(TRIVIAL, Z2), zero_hom(Z2, TRIVIAL), False),
+])
+def test_exact_at_with_zero_dimensional_ends(left, right, expected):
+    assert exact_at(left, right) == expected == reference_exact_at(left, right)
+
+
 def test_exact_at_shape_mismatch():
     with pytest.raises(ValueError):
         exact_at(identity_hom(Z2), identity_hom(Z4))

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import time
 from types import SimpleNamespace
 
@@ -453,6 +454,33 @@ def test_ragged_matrix_rejected():
     with pytest.raises(DatabaseError) as err:
         loads(text)
     assert any(v.kind == "parse" for v in err.value.violations)
+
+
+# items from '-99' to '99' are looked up in a table, and int() reads the
+# rest: each must give what int() gives, in any row, as a plain int
+
+@pytest.mark.parametrize("item", ["0", "-0", "7", "99", "-99", "100", "-100",
+                                  "1" * 20, "-" + "9" * 20, " 7", "\t-3", "-3\t"])
+def test_a_matrix_item_reads_as_int_reads_it(item):
+    value = int(item)
+    for text, rows in ((f"[[{item}]]", ((value,),)),
+                       (f"[[1,{item}],[{item},-1]]", ((1, value), (value, -1)))):
+        parsed = hdb._parse_matrix(text)
+        assert parsed == rows
+        assert {type(x) for row in parsed for x in row} == {int}
+
+
+def test_a_number_past_the_digit_limit_is_a_bad_matrix_literal():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts a number of any length")
+    for big in ("9" * (limit + 1), "-" + "9" * (limit + 1)):
+        text = ("nielsendb v1\n"
+                'group S(2) 2 = 2 [] gens a,b src "x"\n'
+                f'hom antipodal_A S(2),2 -> S(2),2 matrix [[1,{big}],[0,1]] src "y"\n')
+        _, violations = hdb.check(text)
+        assert [(v.kind, v.message, v.line) for v in violations] == [
+            ("parse", hdb._BAD_MATRIX, 3)]
 
 
 def test_check_reports_without_raising():

@@ -75,7 +75,7 @@ def test_snf_matches_reference_dense(n, count):
 
 @pytest.mark.parametrize("n", [8, 16, 24, 32])
 def test_snf_matches_reference_structured(n):
-    rng = random.Random(f"snf-pdq-{n}")
+    rng, fiber_rng = random.Random(f"snf-pdq-{n}"), random.Random(f"snf-fiber-{n}")
     p, ones = rng.choice((2, 3)), [1] * (n // 2)
     # chains of ones, torsion, zeros; the second, a run of equal torsion
     # then p*k, is the shape of a user_db boundary_K, where _snf's search
@@ -86,6 +86,12 @@ def test_snf_matches_reference_structured(n):
         # augmented like a homomorphism into its cokernel: relations appended
         _assert_matches_reference([row + [2 * int(i == j) for j in range(n)]
                                    for i, row in enumerate(m)], n, 2 * n)
+        # a user_db fiber_incl, augmented: k rows of a unimodular matrix,
+        # each reduced mod its torsion factor d, then the columns d * e_i
+        k, inverse = len(torsion), _unimodular(fiber_rng, n, 3 * n)
+        _assert_matches_reference(
+            [[x % d for x in inverse[n // 2 + i]] + [d * int(i == j) for j in range(k)]
+             for i, d in enumerate(torsion)], k, n + k)
 
 
 def test_invariant_factors_match_sympy():
